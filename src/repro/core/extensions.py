@@ -149,7 +149,6 @@ class EccGSModule:
         width = self.module.geometry.column_bytes
         # ECC tile t must hold the parity of whatever data chip t holds;
         # recompute parity lane-aligned with the chips' stored columns.
-        lanes = self.module.lane_map(loc.column, pattern, shuffled)
         order = self.module.assembly_order(loc.column, pattern, shuffled)
         ecc_row = self._ecc_row_key(loc.bank, loc.row)
         current = bytearray(

@@ -15,6 +15,10 @@ behave exactly like commodity DRAM.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
+import numpy as np
+
 from repro.core.ctl import ColumnTranslationLogic, build_ctls
 from repro.core.shuffle import LSBShuffle, ShuffleFunction
 from repro.dram.address import Geometry, MappingPolicy
@@ -52,6 +56,22 @@ class GSRank(Rank):
         return translated
 
 
+class LineTable(NamedTuple):
+    """Everything one (column, pattern, shuffled) line access needs.
+
+    ``lanes`` is :meth:`GSModule.lane_map`, ``order`` is
+    :meth:`GSModule.assembly_order`, and ``index`` picks the gathered
+    line out of a row array in assembly order: ``row[index]`` is
+    ``(chips, column_bytes)``. ``index`` is the bare column when the
+    access is that column's lanes in chip order, else the
+    ``(chip columns, chip ids)`` fancy index.
+    """
+
+    lanes: tuple[tuple[int, int, int], ...]
+    order: tuple[int, ...]
+    index: int | tuple[np.ndarray, np.ndarray]
+
+
 class GSModule(DRAMModule):
     """GS-DRAM(c, s, p): a module with shuffling and pattern support.
 
@@ -81,6 +101,10 @@ class GSModule(DRAMModule):
                 f"{shuffle.stages} shuffle stages exceed log2(chips)="
                 f"{ilog2(self.geometry.chips)}"
             )
+        self._tables: dict[tuple[int, int, bool], LineTable] = {}
+        self._column_keys = np.array(
+            [shuffle.control_bits(c) for c in range(self.geometry.columns_per_row)]
+        )
 
     def _build_rank(self) -> Rank:
         g = self.geometry
@@ -119,16 +143,21 @@ class GSModule(DRAMModule):
             )
         return entries
 
-    def assembly_order(
-        self, column: int, pattern: int, shuffled: bool = True
-    ) -> list[int]:
-        """Chip IDs in the order their lanes appear in the gathered line.
+    def line_table(self, column: int, pattern: int, shuffled: bool = True) -> LineTable:
+        """The memoized :class:`LineTable` of one access.
 
-        The controller assembles gathered values in ascending row-buffer
-        order, which for stride patterns is the natural gather order and
-        for pattern 0 reproduces the original line.
+        Built once from the scalar :meth:`lane_map`; a failing access
+        (bad pattern, translated column off the row, duplicate gather)
+        is not memoized, so it raises on every call.
         """
+        key = (column, pattern, shuffled)
+        table = self._tables.get(key)
+        if table is not None:
+            return table
         lanes = self.lane_map(column, pattern, shuffled)
+        # The controller assembles gathered values in ascending
+        # row-buffer order, which for stride patterns is the natural
+        # gather order and for pattern 0 reproduces the original line.
         order = sorted(range(len(lanes)), key=lambda chip: lanes[chip][2])
         row_indices = [lanes[chip][2] for chip in order]
         if len(set(row_indices)) != len(row_indices):
@@ -136,7 +165,19 @@ class GSModule(DRAMModule):
                 f"pattern {pattern} at column {column} gathers duplicate values "
                 "(insufficient shuffle stages for this pattern)"
             )
-        return order
+        columns = [lanes[chip][0] for chip in order]
+        if order == list(range(len(order))) and columns == [column] * len(order):
+            index: int | tuple[np.ndarray, np.ndarray] = column
+        else:
+            index = (np.array(columns), np.array(order))
+        table = self._tables[key] = LineTable(tuple(lanes), tuple(order), index)
+        return table
+
+    def assembly_order(
+        self, column: int, pattern: int, shuffled: bool = True
+    ) -> list[int]:
+        """Chip IDs in the order their lanes appear in the gathered line."""
+        return list(self.line_table(column, pattern, shuffled).order)
 
     def gathers_correctly(self, pattern: int) -> bool:
         """True if ``pattern`` gathers its intended value family here.
@@ -152,13 +193,11 @@ class GSModule(DRAMModule):
         chips = self.geometry.chips
         try:
             for column in range(min(self.geometry.columns_per_row, 16)):
-                actual = sorted(
-                    entry[2] for entry in self.lane_map(column, pattern)
-                )
+                lanes = self.line_table(column, pattern).lanes
+                actual = sorted(entry[2] for entry in lanes)
                 intended = list(gather_spec(chips, pattern, column).indices)
                 if actual != intended:
                     return False
-                self.assembly_order(column, pattern)
         except PatternError:
             return False
         return True
@@ -176,14 +215,11 @@ class GSModule(DRAMModule):
         loc = self.mapping.decode(address)
         if loc.offset != 0:
             raise AddressError(f"line read of unaligned address {address:#x}")
-        rank: GSRank = self.rank  # type: ignore[assignment]
-        lanes = self.lane_map(loc.column, pattern, shuffled)
-        order = self.assembly_order(loc.column, pattern, shuffled)
-        parts = []
-        for chip_id in order:
-            chip_column = lanes[chip_id][0]
-            parts.append(rank.chips[chip_id].read_column(loc.bank, loc.row, chip_column))
-        return b"".join(parts)
+        table = self.line_table(loc.column, pattern, shuffled)
+        data = self.rank.peek_row(loc.bank, loc.row)
+        if data is None:
+            return bytes(self.line_bytes)
+        return data[table.index].tobytes()
 
     def write_line(
         self, address: int, data: bytes, pattern: int = 0, shuffled: bool = True
@@ -196,14 +232,27 @@ class GSModule(DRAMModule):
             raise AddressError(
                 f"line write of {len(data)} bytes, line size is {self.line_bytes}"
             )
-        rank: GSRank = self.rank  # type: ignore[assignment]
-        width = self.geometry.column_bytes
-        lanes = self.lane_map(loc.column, pattern, shuffled)
-        order = self.assembly_order(loc.column, pattern, shuffled)
-        for position, chip_id in enumerate(order):
-            chip_column = lanes[chip_id][0]
-            lane = data[position * width : (position + 1) * width]
-            rank.chips[chip_id].write_column(loc.bank, loc.row, chip_column, lane)
+        table = self.line_table(loc.column, pattern, shuffled)
+        lanes = np.frombuffer(data, np.uint8).reshape(self.geometry.chips, -1)
+        self.rank.row_array(loc.bank, loc.row)[table.index] = lanes
+
+    def _shuffle(
+        self, values: np.ndarray, columns: np.ndarray, shuffled: bool
+    ) -> np.ndarray:
+        """Batch butterfly over whole lines; an involution, so it also unshuffles."""
+        if not shuffled:
+            return values
+        from repro.vec.kernels import shuffle_lines
+
+        # One element per lane; each line's control bits stand in for the
+        # column of a full-width LSB butterfly, whose key they are.
+        lanes = values.reshape(len(values), -1).view(
+            np.dtype((np.void, self.geometry.column_bytes))
+        )
+        moved = shuffle_lines(
+            lanes, self._column_keys[columns], ilog2(self.geometry.chips)
+        )
+        return moved.view(np.uint8).reshape(values.shape)
 
     # ------------------------------------------------------------------
     # Overlap geometry for cache coherence (Section 4.1)
@@ -221,20 +270,18 @@ class GSModule(DRAMModule):
         loc = self.mapping.decode(address)
         if loc.offset != 0:
             raise AddressError(f"constituents of unaligned address {address:#x}")
-        lanes = self.lane_map(loc.column, pattern, shuffled)
-        order = self.assembly_order(loc.column, pattern, shuffled)
+        table = self.line_table(loc.column, pattern, shuffled)
         width = self.geometry.column_bytes
         result = []
-        for chip_id in order:
-            chip_column, value_index, _row_index = lanes[chip_id]
+        for chip_id in table.order:
+            chip_column, value_index, _row_index = table.lanes[chip_id]
             base = self.mapping.encode(loc.bank, loc.row, chip_column)
             result.append((base, value_index * width))
         return result
 
     def overlapping_columns(self, column: int, pattern: int) -> set[int]:
         """Columns of pattern-0 lines that share data with this gather."""
-        chips = self.geometry.chips
+        low_column = column & mask(self.mapping.column_bits)
         return {
-            (chip_id & pattern) ^ column & mask(self.mapping.column_bits)
-            for chip_id in range(chips)
+            (chip_id & pattern) ^ low_column for chip_id in range(self.geometry.chips)
         }

@@ -96,40 +96,47 @@ class AddressMapping:
         self.address_bits = (
             self.offset_bits + self.column_bits + self.bank_bits + self.row_bits
         )
+        # Plain ints, so decode/encode do no property calls per address.
+        self.capacity_bytes = geometry.capacity_bytes
+        self._line_bytes = geometry.line_bytes
+        self._offset_mask = geometry.line_bytes - 1
+        self._column_mask = geometry.columns_per_row - 1
+        self._bank_mask = geometry.banks - 1
+        self._rows_per_bank = geometry.rows_per_bank
+        self._row_bank_column = policy is MappingPolicy.ROW_BANK_COLUMN
 
     def decode(self, address: int) -> DecodedAddress:
         """Split a physical byte address into DRAM coordinates."""
-        if address < 0 or address >= self.geometry.capacity_bytes:
+        if address < 0 or address >= self.capacity_bytes:
             raise AddressError(
                 f"address {address:#x} outside module capacity "
-                f"{self.geometry.capacity_bytes:#x}"
+                f"{self.capacity_bytes:#x}"
             )
-        offset = address & (self.geometry.line_bytes - 1)
+        offset = address & self._offset_mask
         line = address >> self.offset_bits
-        if self.policy is MappingPolicy.ROW_BANK_COLUMN:
-            column = line & (self.geometry.columns_per_row - 1)
+        if self._row_bank_column:
+            column = line & self._column_mask
             line >>= self.column_bits
-            bank = line & (self.geometry.banks - 1)
+            bank = line & self._bank_mask
             row = line >> self.bank_bits
         else:
-            bank = line & (self.geometry.banks - 1)
+            bank = line & self._bank_mask
             line >>= self.bank_bits
-            column = line & (self.geometry.columns_per_row - 1)
+            column = line & self._column_mask
             row = line >> self.column_bits
         return DecodedAddress(bank=bank, row=row, column=column, offset=offset)
 
     def encode(self, bank: int, row: int, column: int, offset: int = 0) -> int:
         """Inverse of :meth:`decode`."""
-        geometry = self.geometry
-        if not 0 <= bank < geometry.banks:
+        if not 0 <= bank <= self._bank_mask:
             raise AddressError(f"bank {bank} out of range")
-        if not 0 <= row < geometry.rows_per_bank:
+        if not 0 <= row < self._rows_per_bank:
             raise AddressError(f"row {row} out of range")
-        if not 0 <= column < geometry.columns_per_row:
+        if not 0 <= column <= self._column_mask:
             raise AddressError(f"column {column} out of range")
-        if not 0 <= offset < geometry.line_bytes:
+        if not 0 <= offset < self._line_bytes:
             raise AddressError(f"offset {offset} out of range")
-        if self.policy is MappingPolicy.ROW_BANK_COLUMN:
+        if self._row_bank_column:
             line = ((row << self.bank_bits) | bank) << self.column_bits | column
         else:
             line = ((row << self.column_bits) | column) << self.bank_bits | bank
@@ -137,4 +144,4 @@ class AddressMapping:
 
     def line_address(self, address: int) -> int:
         """Address rounded down to its cache-line base."""
-        return address & ~(self.geometry.line_bytes - 1)
+        return address & ~self._offset_mask

@@ -2,9 +2,11 @@
 
 A chip stores, for every (bank, row), a row of columns; each column is
 ``column_bytes`` wide (8 bytes for a x8 chip bursting 8 beats — the
-chip's share of one 64-byte cache line). Rows are allocated lazily and
-zero-filled, matching the simulator convention that untouched memory
-reads as zeros.
+chip's share of one 64-byte cache line). The bytes themselves live in
+the owning :class:`repro.dram.rank.Rank`, one lazily allocated numpy
+array per (bank, row) of shape ``(columns_per_row, chips,
+column_bytes)``; chip ``i`` is the view ``row[:, i, :]``. Untouched
+rows read as zeros and are not allocated by reads.
 
 The chip is purely functional: all timing lives in
 :class:`repro.dram.bank.Bank` and the memory controller.
@@ -12,107 +14,48 @@ The chip is purely functional: all timing lives in
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+import numpy as np
+
 from repro.errors import AddressError
+
+if TYPE_CHECKING:
+    from repro.dram.rank import Rank
 
 
 class Chip:
-    """One DRAM chip: lazily-allocated (bank, row) -> bytearray storage."""
+    """One DRAM chip: a view of its byte lane in the rank's row arrays."""
 
-    def __init__(
-        self,
-        chip_id: int,
-        banks: int,
-        rows_per_bank: int,
-        columns_per_row: int,
-        column_bytes: int = 8,
-    ) -> None:
+    def __init__(self, rank: "Rank", chip_id: int) -> None:
+        self.rank = rank
         self.chip_id = chip_id
-        self.banks = banks
-        self.rows_per_bank = rows_per_bank
-        self.columns_per_row = columns_per_row
-        self.column_bytes = column_bytes
-        self._rows: dict[tuple[int, int], bytearray] = {}
+        self.column_bytes = rank.column_bytes
 
-    def _check(self, bank: int, row: int, column: int) -> None:
-        if not 0 <= bank < self.banks:
-            raise AddressError(f"chip {self.chip_id}: bank {bank} out of range")
-        if not 0 <= row < self.rows_per_bank:
-            raise AddressError(f"chip {self.chip_id}: row {row} out of range")
-        if not 0 <= column < self.columns_per_row:
+    def _check_column(self, column: int) -> None:
+        if not 0 <= column < self.rank.columns_per_row:
             raise AddressError(f"chip {self.chip_id}: column {column} out of range")
-
-    def _row(self, bank: int, row: int) -> bytearray:
-        key = (bank, row)
-        data = self._rows.get(key)
-        if data is None:
-            data = bytearray(self.columns_per_row * self.column_bytes)
-            self._rows[key] = data
-        return data
 
     def read_column(self, bank: int, row: int, column: int) -> bytes:
         """Return the ``column_bytes`` stored at (bank, row, column)."""
-        self._check(bank, row, column)
-        data = self._rows.get((bank, row))
+        data = self.rank.peek_row(bank, row)
+        self._check_column(column)
         if data is None:
             return bytes(self.column_bytes)
-        start = column * self.column_bytes
-        return bytes(data[start : start + self.column_bytes])
+        return data[column, self.chip_id].tobytes()
 
     def write_column(self, bank: int, row: int, column: int, value: bytes) -> None:
         """Store ``value`` (exactly ``column_bytes`` long) at the column."""
-        self._check(bank, row, column)
+        self._check_column(column)
         if len(value) != self.column_bytes:
             raise AddressError(
                 f"chip {self.chip_id}: write of {len(value)} bytes, "
                 f"column width is {self.column_bytes}"
             )
-        data = self._row(bank, row)
-        start = column * self.column_bytes
-        data[start : start + self.column_bytes] = value
-
-    def row_view(self, bank: int, row: int) -> bytearray:
-        """The live storage of (bank, row), allocating zeros if untouched.
-
-        Used by the rank-level in-DRAM compute paths, which need whole
-        rows at once; mutating the returned bytearray mutates the chip.
-        """
-        self._check(bank, row, 0)
-        return self._row(bank, row)
-
-    def combine_rows(
-        self, bank: int, rows: tuple[int, ...], dest: int, op: str
-    ) -> None:
-        """Latch the bitwise ``op`` of ``rows`` into row ``dest``.
-
-        The functional half of a multi-row activation: byte-wise
-        AND/OR over 2-3 source rows, or bitwise majority over exactly
-        3 (``MAJ3(a,b,c) = (a&b)|(a&c)|(b&c)``). Validity of the
-        combination is enforced by :class:`repro.dram.commands.Command`;
-        here we only range-check the addresses.
-        """
-        for r in (*rows, dest):
-            self._check(bank, r, 0)
-        srcs = [self._rows.get((bank, r)) for r in rows]
-        width = self.columns_per_row * self.column_bytes
-        zeros = bytes(width)
-        vals = [int.from_bytes(s if s is not None else zeros, "little")
-                for s in srcs]
-        if op == "AND":
-            acc = vals[0]
-            for v in vals[1:]:
-                acc &= v
-        elif op == "OR":
-            acc = vals[0]
-            for v in vals[1:]:
-                acc |= v
-        elif op == "MAJ":
-            a, b, c = vals
-            acc = (a & b) | (a & c) | (b & c)
-        else:
-            raise AddressError(f"chip {self.chip_id}: unknown MRA op {op!r}")
-        self._row(bank, dest)[:] = acc.to_bytes(width, "little")
+        lane = np.frombuffer(value, np.uint8)
+        self.rank.row_array(bank, row)[column, self.chip_id] = lane
 
     @property
     def allocated_rows(self) -> int:
         """Number of rows touched so far (memory-footprint introspection)."""
-        return len(self._rows)
+        return self.rank.allocated_rows

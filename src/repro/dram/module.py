@@ -9,6 +9,10 @@ controller.
 
 from __future__ import annotations
 
+from typing import Iterator
+
+import numpy as np
+
 from repro.dram.address import AddressMapping, DecodedAddress, Geometry, MappingPolicy
 from repro.dram.bank import Bank
 from repro.dram.rank import Rank
@@ -74,29 +78,108 @@ class DRAMModule:
             raise AddressError(f"line write of unaligned address {address:#x}")
         self.rank.write_line(loc.bank, loc.row, loc.column, data, pattern)
 
-    # Byte-granularity convenience for loaders (read-modify-write).
+    # ------------------------------------------------------------------
+    # Bulk regions, used by loaders and readback
+    # ------------------------------------------------------------------
+    def _check_ends(self, address: int, end: int) -> None:
+        """Range-check a region's first and last byte before touching it."""
+        self.mapping.decode(address)
+        self.mapping.decode(end - 1)
+
+    def _row_groups(
+        self, base: int, count: int
+    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        """(bank, row, positions, columns) per DRAM row of ``count`` lines.
+
+        ``positions`` index the lines from ``base`` that fall into the
+        row and ``columns`` are their columns in it. Lines are decoded a
+        bank-set of rows at a time, which bounds the index arrays.
+        """
+        from repro.vec.kernels import decompose_addresses
+
+        g = self.geometry
+        step = g.banks * g.columns_per_row
+        for start in range(0, count, step):
+            positions = np.arange(start, min(start + step, count), dtype=np.int64)
+            fields = decompose_addresses(
+                base + positions * g.line_bytes,
+                banks=g.banks,
+                rows_per_bank=g.rows_per_bank,
+                columns_per_row=g.columns_per_row,
+                line_bytes=g.line_bytes,
+                policy=self.mapping.policy,
+            )
+            banks, rows, columns = fields["bank"], fields["row"], fields["column"]
+            keys = banks * g.rows_per_bank + rows
+            order = np.argsort(keys, kind="stable")
+            cuts = np.flatnonzero(np.diff(keys[order])) + 1
+            for group in np.split(order, cuts):
+                first = group[0]
+                yield (int(banks[first]), int(rows[first]), positions[group],
+                       columns[group])
+
+    def _shuffle(
+        self, values: np.ndarray, columns: np.ndarray, shuffled: bool
+    ) -> np.ndarray:
+        """Swap lines ``(lines, chips, column_bytes)`` at ``columns`` between
+        logical and stored lane order: the identity, as plain DRAM has no
+        shuffle network (the GS module overrides this)."""
+        return values
+
+    def write_region(self, address: int, data: bytes, shuffled: bool = False) -> None:
+        """Write ``data`` at ``address`` (any alignment) in logical order.
+
+        Whole lines take one batch shuffle and one array assignment per
+        DRAM row; only a partial first or last line is read, patched and
+        written back.
+        """
+        if not len(data):
+            return
+        line_bytes = self.line_bytes
+        end = address + len(data)
+        self._check_ends(address, end)
+        for base in sorted({address - address % line_bytes,
+                            (end - 1) - (end - 1) % line_bytes}):
+            low, high = max(base, address), min(base + line_bytes, end)
+            if high - low < line_bytes:
+                line = bytearray(self.read_line(base, 0, shuffled))
+                line[low - base : high - base] = data[low - address : high - address]
+                self.write_line(base, bytes(line), 0, shuffled)
+        full_start = -(-address // line_bytes) * line_bytes
+        count = (end - full_start) // line_bytes
+        if count <= 0:
+            return
+        g = self.geometry
+        values = np.frombuffer(
+            data, np.uint8, count * line_bytes, full_start - address
+        ).reshape(count, g.chips, g.column_bytes)
+        for bank, row, group, columns in self._row_groups(full_start, count):
+            stored = self._shuffle(values[group], columns, shuffled)
+            self.rank.row_array(bank, row)[columns] = stored
+
+    def read_region(self, address: int, length: int, shuffled: bool = False) -> bytes:
+        """Read ``length`` bytes from ``address`` (any alignment) in logical order."""
+        if length <= 0:
+            return b""
+        line_bytes = self.line_bytes
+        end = address + length
+        self._check_ends(address, end)
+        first = address - address % line_bytes
+        count = -(-(end - first) // line_bytes)
+        g = self.geometry
+        values = np.zeros((count, g.chips, g.column_bytes), np.uint8)
+        for bank, row, group, columns in self._row_groups(first, count):
+            data = self.rank.peek_row(bank, row)
+            if data is not None:
+                values[group] = self._shuffle(data[columns], columns, shuffled)
+        return values.reshape(-1)[address - first : end - first].tobytes()
+
+    # Byte-granularity convenience for loaders: the region paths with the
+    # GS module's native line default (plain modules ignore the flag).
     def read_bytes(self, address: int, length: int) -> bytes:
         """Read ``length`` bytes starting at ``address`` (may span lines)."""
-        out = bytearray()
-        line_bytes = self.line_bytes
-        while length > 0:
-            base = self.mapping.line_address(address)
-            offset = address - base
-            take = min(length, line_bytes - offset)
-            out += self.read_line(base)[offset : offset + take]
-            address += take
-            length -= take
-        return bytes(out)
+        return self.read_region(address, length, shuffled=True)
 
     def write_bytes(self, address: int, data: bytes) -> None:
         """Write ``data`` starting at ``address`` (may span lines)."""
-        line_bytes = self.line_bytes
-        position = 0
-        while position < len(data):
-            base = self.mapping.line_address(address + position)
-            offset = (address + position) - base
-            take = min(len(data) - position, line_bytes - offset)
-            line = bytearray(self.read_line(base))
-            line[offset : offset + take] = data[position : position + take]
-            self.write_line(base, bytes(line))
-            position += take
+        self.write_region(address, data, shuffled=True)

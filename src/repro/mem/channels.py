@@ -166,6 +166,34 @@ class MultiChannelModule:
         channel, local = self.route(address)
         self.channels[channel].write_line(local, data, pattern, shuffled)
 
+    def _row_pieces(self, address: int, length: int):
+        """(channel, local address, offset into region, size) per global row."""
+        row_bytes = self.geometry.row_bytes
+        position = 0
+        while position < length:
+            channel, local = self.route(address + position)
+            size = min(length - position, row_bytes - local % row_bytes)
+            yield channel, local, position, size
+            position += size
+
+    def write_region(self, address: int, data: bytes, shuffled: bool = True) -> None:
+        """Bulk write, split at row (= channel) boundaries."""
+        if len(data):  # range-check both ends before writing anything
+            self.route(address)
+            self.route(address + len(data) - 1)
+        view = memoryview(data)
+        for channel, local, position, size in self._row_pieces(address, len(data)):
+            self.channels[channel].write_region(
+                local, view[position : position + size], shuffled
+            )
+
+    def read_region(self, address: int, length: int, shuffled: bool = True) -> bytes:
+        """Bulk read, split at row (= channel) boundaries."""
+        return b"".join(
+            self.channels[channel].read_region(local, size, shuffled)
+            for channel, local, _, size in self._row_pieces(address, length)
+        )
+
 
 class MultiChannelController:
     """Controller facade: routes requests, aggregates statistics."""

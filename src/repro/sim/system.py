@@ -57,6 +57,49 @@ def _build_module(config: SystemConfig) -> DRAMModule:
     )
 
 
+def _shuffle_runs(
+    page_table, line_bytes: int, address: int, length: int
+) -> list[tuple[int, int, bool]]:
+    """Split ``[address, address + length)`` where the page shuffle flag flips.
+
+    Each ``(start, stop, shuffled)`` run starts and stops on line
+    boundaries, except at the ends of the region; a line takes the flag
+    of the page holding its first byte.
+    """
+    end = address + length
+    step = max(page_table.page_bytes, line_bytes)
+    runs: list[tuple[int, int, bool]] = []
+    block = address - address % step
+    while block < end:
+        shuffled = page_table.translate(block)[1]
+        stop = min(block + step, end)
+        if runs and runs[-1][2] == shuffled:
+            runs[-1] = (runs[-1][0], stop, shuffled)
+        else:
+            runs.append((max(block, address), stop, shuffled))
+        block += step
+    return runs
+
+
+def write_memory(module, page_table, address: int, data: bytes) -> None:
+    """Untimed write of ``data`` at ``address``, one region per shuffle run."""
+    view = memoryview(data).cast("B")
+    for start, stop, shuffled in _shuffle_runs(
+        page_table, module.line_bytes, address, len(view)
+    ):
+        module.write_region(start, view[start - address : stop - address], shuffled)
+
+
+def read_memory(module, page_table, address: int, length: int) -> bytes:
+    """Untimed read of ``length`` bytes at ``address`` (inverse of write_memory)."""
+    return b"".join(
+        module.read_region(start, stop - start, shuffled)
+        for start, stop, shuffled in _shuffle_runs(
+            page_table, module.line_bytes, address, length
+        )
+    )
+
+
 def _build_scheduler(config: SystemConfig) -> Scheduler:
     if config.scheduler is SchedulerKind.FCFS:
         return FCFS()
@@ -180,18 +223,7 @@ class System:
 
     def mem_write(self, address: int, data: bytes) -> None:
         """Functionally pre-load memory (honouring page shuffle flags)."""
-        line_bytes = self.module.line_bytes
-        position = 0
-        while position < len(data):
-            target = address + position
-            base = self.module.mapping.line_address(target)
-            offset = target - base
-            take = min(len(data) - position, line_bytes - offset)
-            _, shuffled, _ = self.page_table.translate(base)
-            line = bytearray(self.module.read_line(base, 0, shuffled))
-            line[offset : offset + take] = data[position : position + take]
-            self.module.write_line(base, bytes(line), 0, shuffled)
-            position += take
+        write_memory(self.module, self.page_table, address, data)
 
     def mem_read(self, address: int, length: int) -> bytes:
         """Functionally read memory (through any dirty cached lines).
@@ -200,18 +232,7 @@ class System:
         latest architectural state.
         """
         self.hierarchy.drain_dirty()
-        out = bytearray()
-        line_bytes = self.module.line_bytes
-        while length > 0:
-            base = self.module.mapping.line_address(address)
-            offset = address - base
-            take = min(length, line_bytes - offset)
-            _, shuffled, _ = self.page_table.translate(base)
-            line = self.module.read_line(base, 0, shuffled)
-            out += line[offset : offset + take]
-            address += take
-            length -= take
-        return bytes(out)
+        return read_memory(self.module, self.page_table, address, length)
 
     # ------------------------------------------------------------------
     # Execution

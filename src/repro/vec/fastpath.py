@@ -37,6 +37,7 @@ from repro.mem.request import MemoryRequest, Phase
 from repro.obs.session import current_session
 from repro.sim.config import Mechanism, SystemConfig
 from repro.sim.results import RunResult
+from repro.sim.system import read_memory, write_memory
 from repro.utils.statistics import StatGroup
 
 
@@ -227,33 +228,11 @@ class FastSystem:
         return self.allocator.malloc(size)
 
     def mem_write(self, address: int, data: bytes) -> None:
-        line_bytes = self.module.line_bytes
-        position = 0
-        while position < len(data):
-            target = address + position
-            base = self.module.mapping.line_address(target)
-            offset = target - base
-            take = min(len(data) - position, line_bytes - offset)
-            _, shuffled, _ = self.page_table.translate(base)
-            line = bytearray(self.module.read_line(base, 0, shuffled))
-            line[offset : offset + take] = data[position : position + take]
-            self.module.write_line(base, bytes(line), 0, shuffled)
-            position += take
+        write_memory(self.module, self.page_table, address, data)
 
     def mem_read(self, address: int, length: int) -> bytes:
         self.hierarchy.drain_dirty()
-        out = bytearray()
-        line_bytes = self.module.line_bytes
-        while length > 0:
-            base = self.module.mapping.line_address(address)
-            offset = address - base
-            take = min(length, line_bytes - offset)
-            _, shuffled, _ = self.page_table.translate(base)
-            line = self.module.read_line(base, 0, shuffled)
-            out += line[offset : offset + take]
-            address += take
-            length -= take
-        return bytes(out)
+        return read_memory(self.module, self.page_table, address, length)
 
     # ------------------------------------------------------------------
     # Execution

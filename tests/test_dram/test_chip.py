@@ -5,11 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.dram.chip import Chip
+from repro.dram.rank import Rank
 from repro.errors import AddressError
 
 
 def make_chip() -> Chip:
-    return Chip(chip_id=0, banks=2, rows_per_bank=4, columns_per_row=8)
+    return Rank(chips=1, banks=2, rows_per_bank=4, columns_per_row=8).chips[0]
 
 
 class TestReadWrite:
