@@ -10,6 +10,9 @@ levels, mirroring how the differential oracle treats the timed machine:
    :class:`repro.vec.fastpath.FastSystem` side by side; every loaded
    value, the final memory images, the functional result fields, and
    the full controller / cache statistic dictionaries must be equal.
+   The trace's translated access stream also replays through
+   :class:`repro.vec.hier.DirtyReplay`, whose statistic dictionaries
+   must equal FastSystem's.
 2. **Pattern sweep** (:func:`run_sweep_equivalence`) — the fig7-style
    strided-scan sweep in both :func:`repro.harness.patternscan` modes;
    hit/miss totals, gathered-value digests, and per-bank row-locality
@@ -33,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.check.differential import differential_configs, _initial_bytes
 from repro.check.strategies import TraceSpec, random_trace
 from repro.cpu.isa import Compute, Load, Store
@@ -44,6 +49,7 @@ from repro.perf.specs import make_layout
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
 from repro.vec.fastpath import FastSystem, fast_supported
+from repro.vec.hier import DirtyReplay
 
 #: RunResult fields the fast path must reproduce exactly. Timing
 #: outputs (cycles, energy, queue delays, engine events) are excluded
@@ -121,7 +127,7 @@ def _compare_result_fields(
 
 def _compare_stat_dicts(
     where: str, component: str, event_stats: dict, fast_stats: dict,
-    report: FastPathReport,
+    report: FastPathReport, sides: tuple[str, str] = ("event", "fast"),
 ) -> None:
     for key in sorted(set(event_stats) | set(fast_stats)):
         report.fields_compared += 1
@@ -129,7 +135,8 @@ def _compare_stat_dicts(
         if a != b:
             report.divergences.append(
                 FastPathDivergence(
-                    where, f"{component}.{key}: event={a} fast={b}"
+                    where,
+                    f"{component}.{key}: {sides[0]}={a} {sides[1]}={b}",
                 )
             )
 
@@ -219,6 +226,15 @@ def run_trace_pair(config: SystemConfig, trace: TraceSpec) -> FastPathReport:
                     yield Store(address, op.payload, pattern=op.pattern)
 
         result = system.run([ops()])
+        # (line address, pattern, alt, write) per access, for DirtyReplay.
+        stream = []
+        for op in trace.ops_for_core(0):
+            if op.kind != "compute":
+                paddr, _, alt = system.page_table.translate(
+                    bases[op.region] + op.line * line_bytes + op.offset
+                )
+                stream.append((paddr & -line_bytes, op.pattern, alt,
+                               op.kind == "store"))
         images = [
             system.mem_read(base, region.lines * line_bytes)
             for base, region in zip(bases, trace.regions)
@@ -229,13 +245,13 @@ def run_trace_pair(config: SystemConfig, trace: TraceSpec) -> FastPathReport:
             "l2": dict(system.hierarchy.l2.stats.as_dict()),
             "hierarchy": dict(system.hierarchy.stats.as_dict()),
         }
-        return result, loaded, images, stats
+        return result, loaded, images, stats, stream
 
     try:
-        event_result, event_loaded, event_images, event_stats = execute(
+        event_result, event_loaded, event_images, event_stats, _ = execute(
             System(config)
         )
-        fast_result, fast_loaded, fast_images, fast_stats = execute(
+        fast_result, fast_loaded, fast_images, fast_stats, stream = execute(
             FastSystem(config)
         )
     except ReproError as error:
@@ -270,10 +286,17 @@ def run_trace_pair(config: SystemConfig, trace: TraceSpec) -> FastPathReport:
                 FastPathDivergence(where, f"memory image of region {index}")
             )
     _compare_result_fields(where, event_result, fast_result, report)
+    replay = DirtyReplay(config)
+    replay.run(*np.array(stream, dtype=np.int64).reshape(-1, 4).T)
+    replay_stats = replay.component_stats()
     for component in ("controller", "l1", "l2", "hierarchy"):
         _compare_stat_dicts(
             where, component, event_stats[component], fast_stats[component],
             report,
+        )
+        _compare_stat_dicts(
+            where, component, fast_stats[component], replay_stats[component],
+            report, sides=("fast", "replay"),
         )
     return report
 

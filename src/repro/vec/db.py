@@ -151,15 +151,13 @@ class _FastTable:
         )
 
     def stream_attributes(self, count: int):
-        """(patterns, alt_patterns, shuffled) for ``count`` txn accesses."""
+        """(patterns, alt_patterns) for ``count`` txn accesses."""
         patterns = np.zeros(count, dtype=np.int64)
         if self.is_gs:
             alts = np.full(count, self.pattern, dtype=np.int64)
-            shuffled = np.ones(count, dtype=bool)
         else:
             alts = patterns
-            shuffled = np.zeros(count, dtype=bool)
-        return patterns, alts, shuffled
+        return patterns, alts
 
 
 def _flatten_transactions(table: _FastTable, txns):
@@ -251,9 +249,9 @@ def _transaction_stream(table: _FastTable, txns):
     addresses = table.field_addresses(tuple_ids, fields)
     line_bytes = table.config.geometry.line_bytes
     lines = addresses & ~np.int64(line_bytes - 1)
-    patterns, alts, shuffled = table.stream_attributes(int(lines.size))
+    patterns, alts = table.stream_attributes(int(lines.size))
     cells = tuple_ids * np.int64(table.schema.num_fields) + fields
-    return lines, patterns, alts, shuffled, writes, values, cells
+    return lines, patterns, alts, writes, values, cells
 
 
 def _analytics_stream(
@@ -329,16 +327,11 @@ def _analytics_stream(
         if line_chunks
         else np.array([], dtype=np.int64)
     )
-    if table.is_gs:
-        patterns = np.full(lines.size, table.pattern, dtype=np.int64)
-        alts = patterns
-        shuffled = np.ones(lines.size, dtype=bool)
-    else:
-        patterns = np.zeros(lines.size, dtype=np.int64)
-        alts = patterns
-        shuffled = np.zeros(lines.size, dtype=bool)
+    patterns = np.full(
+        lines.size, table.pattern if table.is_gs else 0, dtype=np.int64
+    )
     answer = sum(int(chunk.sum()) for chunk in value_chunks)
-    return lines, patterns, alts, shuffled, answer
+    return lines, patterns, answer
 
 
 def _attach_session(config: SystemConfig, replay: DirtyReplay,
@@ -375,11 +368,11 @@ def fast_transactions(
 ) -> FastDbOutcome:
     """Vectorized twin of the event transaction driver."""
     table = _FastTable(layout, num_tuples, config, rows)
-    lines, patterns, alts, shuffled, writes, values, cells = (
-        _transaction_stream(table, txns)
+    lines, patterns, alts, writes, values, cells = _transaction_stream(
+        table, txns
     )
     replay = DirtyReplay(config)
-    replay.run(lines, patterns, alts, writes, shuffled)
+    replay.run(lines, patterns, alts, writes)
 
     observed, final_flat = _last_write_wins(table.flat, cells, writes, values)
     stores = int(writes.sum())
@@ -409,13 +402,9 @@ def fast_analytics(
 ) -> FastDbOutcome:
     """Vectorized twin of the event analytics driver."""
     table = _FastTable(layout, num_tuples, config, rows)
-    lines, patterns, alts, shuffled, answer = _analytics_stream(
-        table, query, table.flat
-    )
+    lines, patterns, answer = _analytics_stream(table, query, table.flat)
     replay = DirtyReplay(config)
-    replay.run(
-        lines, patterns, alts, np.zeros(lines.size, dtype=bool), shuffled
-    )
+    replay.run(lines, patterns, patterns, np.zeros(lines.size, dtype=bool))
     total_values = int(lines.size)
     instructions = (1 + SCAN_COMPUTE_CYCLES) * total_values
     result = replay.collect_result(
@@ -446,24 +435,23 @@ def fast_htap_phased(
     """
     table = _FastTable(layout, num_tuples, config, rows)
     a = _transaction_stream(table, txns_a)
-    _, mid_flat = _last_write_wins(table.flat, a[6], a[4], a[5])
+    _, mid_flat = _last_write_wins(table.flat, a[5], a[3], a[4])
     scan = _analytics_stream(table, query, mid_flat)
     b = _transaction_stream(table, txns_b)
-    _, final_flat = _last_write_wins(mid_flat, b[6], b[4], b[5])
+    _, final_flat = _last_write_wins(mid_flat, b[5], b[3], b[4])
 
     scan_count = int(scan[0].size)
     lines = np.concatenate([a[0], scan[0], b[0]])
     patterns = np.concatenate([a[1], scan[1], b[1]])
-    alts = np.concatenate([a[2], scan[2], b[2]])
-    shuffled = np.concatenate([a[3], scan[3], b[3]])
+    alts = np.concatenate([a[2], scan[1], b[2]])
     writes = np.concatenate(
-        [a[4], np.zeros(scan_count, dtype=bool), b[4]]
+        [a[3], np.zeros(scan_count, dtype=bool), b[3]]
     )
     replay = DirtyReplay(config)
-    replay.run(lines, patterns, alts, writes, shuffled)
+    replay.run(lines, patterns, alts, writes)
 
-    txn_ops = int(a[4].size) + int(b[4].size)
-    stores = int(a[4].sum()) + int(b[4].sum())
+    txn_ops = int(a[3].size) + int(b[3].size)
+    stores = int(a[3].sum()) + int(b[3].sum())
     loads = (txn_ops - stores) + scan_count
     instructions = (
         TXN_OVERHEAD_CYCLES * (len(txns_a) + len(txns_b))
@@ -477,6 +465,6 @@ def fast_htap_phased(
     return FastDbOutcome(
         result=result,
         component_stats=replay.component_stats(),
-        answer=scan[4],
+        answer=scan[2],
         final_rows=final_flat.reshape(num_tuples, table.schema.num_fields),
     )

@@ -77,10 +77,9 @@ def _blocked_storage(b_vals: np.ndarray, n: int) -> np.ndarray:
     return storage
 
 
-def _replay(config, lines, patterns, alts, writes, shuffled,
-            *, instructions, loads, stores):
+def _replay(config, lines, patterns, writes, *, instructions, loads, stores):
     replay = DirtyReplay(config)
-    replay.run(lines, patterns, alts, writes, shuffled)
+    replay.run(lines, patterns, patterns, writes)
     result = replay.collect_result(
         instructions=instructions, loads=loads, stores=stores
     )
@@ -124,8 +123,7 @@ def fast_naive(n: int, seed: int = 3, overrides: dict | None = None) -> GemmRun:
 
     with timer.stage("run"):
         result, stats = _replay(
-            config, lines, zeros, zeros, writes,
-            np.zeros(lines.size, dtype=bool),
+            config, lines, zeros, writes,
             instructions=n * n * (3 * n + 3),
             loads=2 * n * n * n,
             stores=n * n,
@@ -203,8 +201,7 @@ def fast_tiled(n: int, tile: int, seed: int = 3,
     triples, reloads = _tile_triples(n, tile)
     with timer.stage("run"):
         result, stats = _replay(
-            config, lines, zeros, zeros, writes,
-            np.zeros(lines.size, dtype=bool),
+            config, lines, zeros, writes,
             instructions=triples * (3 + 5 * steps) + reloads,
             loads=triples * 3 * steps + reloads,
             stores=triples,
@@ -271,7 +268,6 @@ def fast_gs(n: int, tile: int, seed: int = 3,
         lines = np.concatenate(chunks) & line_mask
         writes = np.concatenate(write_chunks)
         patterns = np.concatenate(pattern_chunks)
-        shuffled = patterns != 0  # only B's pages are shuffle-allocated
 
     with timer.stage("verify"):
         # Recover B through the gather machinery over every line of the
@@ -321,7 +317,7 @@ def fast_gs(n: int, tile: int, seed: int = 3,
     per_triple_loads = 2 * positions.size * kbs_per_tile
     with timer.stage("run"):
         result, stats = _replay(
-            config, lines, patterns, patterns, writes, shuffled,
+            config, lines, patterns, writes,
             instructions=(
                 triples * (3 + 3 * positions.size * kbs_per_tile) + reloads
             ),

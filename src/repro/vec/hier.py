@@ -16,13 +16,18 @@ the open-row controller, reproducing the exact statistic accounting of
 :class:`repro.cache.hierarchy.CacheHierarchy` +
 :class:`repro.vec.fastpath.ImmediateController`:
 
-- cache lines are ``(line_address, pattern)``-keyed entries holding an
-  LRU stamp, a dirty bit, and the writeback shuffle annotation;
-- victims are min-stamp within the (pattern-independent) set;
+- a cache line is the int key ``line_address | pattern`` (pattern ids
+  fit below the line offset) mapped to its dirty bit;
+- each set is a dict whose insertion order is its recency order: a
+  touch re-inserts the key, and the victim is the first key;
 - stores mark the DBI, drop the stale L2 copy, and evict overlapping
   other-pattern lines (Section 4.1), writing dirty ones back;
 - fetches flush dirty overlaps via one DBI overlap query first;
 - the controller replays per-bank open-row state in submission order.
+
+Before the per-access loop, a numpy pass (:meth:`DirtyReplay._elided`)
+removes accesses that are provably L1 hits with no other effect and
+only counts them.
 
 Functional values are computed separately (numpy) by the callers in
 :mod:`repro.vec.db` and :mod:`repro.vec.gemm`; equivalence with the
@@ -31,11 +36,12 @@ event machine is enforced stat-by-stat by :mod:`repro.check.fastpath`.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.energy.model import system_energy
 from repro.sim.config import Mechanism, SystemConfig
 from repro.sim.results import RunResult
 from repro.vec.fastpath import assert_fast_compatible
-from repro.vec.replay import RowProfile
 
 #: Component order used by the stat snapshots (matches the dict the
 #: event drivers capture for the equivalence battery).
@@ -51,7 +57,10 @@ class DirtyReplay:
         geometry = config.geometry
         self.geometry = geometry
         line_bytes = geometry.line_bytes
+        # Line keys pack the pattern id into the line-offset bits.
+        assert max(geometry.chips, 1 << config.pattern_bits) <= line_bytes
         self._offset_bits = line_bytes.bit_length() - 1
+        self._pattern_mask = line_bytes - 1
         self._column_bits = geometry.columns_per_row.bit_length() - 1
         self._bank_bits = geometry.banks.bit_length() - 1
         self._column_mask = geometry.columns_per_row - 1
@@ -69,18 +78,14 @@ class DirtyReplay:
         self._l2_assoc = config.l2_assoc
         self._l1_mask = sets_of(config.l1_size, config.l1_assoc) - 1
         self._l2_mask = sets_of(config.l2_size, config.l2_assoc) - 1
-        #: set index -> {(line_address, pattern): [stamp, dirty, ann]}
+        #: set index -> {line key: dirty}, least recently used first
         self._l1_sets: list[dict] = [{} for _ in range(self._l1_mask + 1)]
         self._l2_sets: list[dict] = [{} for _ in range(self._l2_mask + 1)]
-        self._l1_tick = 0
-        self._l2_tick = 0
-        #: (bank, row) -> set of dirty (line_address, pattern) keys
+        #: (bank, row) -> set of dirty line keys
         self._dbi: dict[tuple[int, int], set] = {}
         self._open_rows: list[int | None] = [None] * geometry.banks
         self._coords: dict[int, tuple[int, int, int]] = {}
-        self._overlaps: dict[tuple[int, int, int], tuple] = {}
-        #: bank -> [serviced, row_hits, row_misses, activates, precharges]
-        self._bank_counts: dict[int, list[int]] = {}
+        self._overlaps: dict[tuple[int, int], tuple] = {}
         self.counts = {
             "l1_hits": 0, "l1_misses": 0, "l1_fills": 0, "l1_evictions": 0,
             "l1_dirty_evictions": 0, "l1_invalidations": 0,
@@ -95,11 +100,11 @@ class DirtyReplay:
         }
 
     # ------------------------------------------------------------------
-    def coords(self, line_address: int) -> tuple[int, int, int]:
-        """(bank, row, column) of a line address, memoized."""
-        got = self._coords.get(line_address)
+    def coords(self, key: int) -> tuple[int, int, int]:
+        """(bank, row, column) of a line address or line key, memoized."""
+        got = self._coords.get(key)
         if got is None:
-            line = line_address >> self._offset_bits
+            line = key >> self._offset_bits
             if self._row_bank_column:
                 column = line & self._column_mask
                 line >>= self._column_bits
@@ -111,7 +116,7 @@ class DirtyReplay:
                 column = line & self._column_mask
                 row = line >> self._column_bits
             got = (bank, row, column)
-            self._coords[line_address] = got
+            self._coords[key] = got
         return got
 
     def _encode(self, bank: int, row: int, column: int) -> int:
@@ -121,48 +126,87 @@ class DirtyReplay:
             line = ((row << self._column_bits) | column) << self._bank_bits | bank
         return line << self._offset_bits
 
-    def _overlap_keys(self, line_address: int, pattern: int, alt: int):
+    def _overlap_keys(self, key: int, alt: int):
         """Other-pattern line keys sharing data with this line (cached).
 
-        Returns ``(keys_tuple, keys_set)``; empty when the module has no
-        pattern support or both patterns are zero — mirroring
-        :meth:`CacheHierarchy._overlap_keys`.
+        Returns ``(keys_tuple, keys_set)`` in ascending key order; empty
+        when the module has no pattern support or both patterns are
+        zero — mirroring :meth:`CacheHierarchy._overlap_keys`.
         """
-        memo_key = (line_address, pattern, alt)
+        memo_key = (key, alt)
         got = self._overlaps.get(memo_key)
         if got is None:
+            pattern = key & self._pattern_mask
             other = alt if pattern == 0 else 0
             nonzero = pattern if pattern != 0 else alt
             if nonzero == 0 or not self._supports_patterns:
                 got = ((), frozenset())
             else:
-                bank, row, column = self.coords(line_address)
+                bank, row, column = self.coords(key)
                 columns = {
                     (chip & nonzero) ^ (column & self._column_mask)
                     for chip in range(self._chips)
                 }
                 keys = tuple(
-                    (self._encode(bank, row, c), other) for c in sorted(columns)
+                    self._encode(bank, row, c) | other for c in sorted(columns)
                 )
                 got = (keys, frozenset(keys))
             self._overlaps[memo_key] = got
         return got
 
+    def _elided(self, keys: np.ndarray, alts: np.ndarray,
+                writes: np.ndarray) -> np.ndarray:
+        """Mask of accesses that are L1 hits with no effect but the count.
+
+        After any access its key is the MRU line of its L1 set, dirty
+        after a store, with no L2 copy and its overlaps evicted. An
+        access is elided when the previous access that could have
+        changed that set touched the same key, and it is a load or both
+        are stores with the same alt (a repeated store is idempotent).
+        Without overlap keys in the batch only demand accesses to a set
+        change it, so the previous access to the same L1 set counts;
+        otherwise only the immediately preceding access does. The first
+        access of a set in the batch is never elided, because the cache
+        state carries across :meth:`run` calls.
+        """
+        overlap_free = not self._supports_patterns or not (
+            (keys & self._pattern_mask).any() or alts.any()
+        )
+        if overlap_free:
+            sets = (keys >> self._offset_bits) & self._l1_mask
+            order = np.argsort(sets, kind="stable")
+            keys, alts, writes = keys[order], alts[order], writes[order]
+        repeat = np.zeros(keys.size, dtype=bool)
+        repeat[1:] = (keys[1:] == keys[:-1]) & (
+            ~writes[1:] | (writes[:-1] & (alts[1:] == alts[:-1]))
+        )
+        if not overlap_free:
+            return repeat
+        elided = np.empty_like(repeat)
+        elided[order] = repeat
+        return elided
+
     # ------------------------------------------------------------------
-    def run(self, line_addresses, patterns, alt_patterns, writes, shuffled) -> None:
+    def run(self, line_addresses, patterns, alt_patterns, writes) -> None:
         """Replay one batch of accesses (appends to the running state).
 
-        All five arguments are equal-length sequences; ``shuffled`` is
-        the page-table shuffle flag per access. numpy arrays are
-        accepted (converted to plain lists for the hot loop).
+        All four arguments are equal-length sequences or numpy arrays;
+        ``line_addresses`` are line-aligned physical addresses.
         """
-        ls = _as_list(line_addresses)
-        ps = _as_list(patterns)
-        alts = _as_list(alt_patterns)
-        ws = _as_list(writes)
-        shs = _as_list(shuffled)
-
+        keys = np.asarray(line_addresses, dtype=np.int64) | np.asarray(
+            patterns, dtype=np.int64
+        )
+        alt_array = np.asarray(alt_patterns, dtype=np.int64)
+        write_array = np.asarray(writes, dtype=bool)
+        survive = ~self._elided(keys, alt_array, write_array)
         c = self.counts
+        c["l1_hits"] += int(keys.size) - int(np.count_nonzero(survive))
+        ks = keys[survive].tolist()
+        alts = alt_array[survive].tolist()
+        ws = write_array[survive].tolist()
+        # Only the survivor lists stay alive through the loop.
+        del keys, alt_array, write_array, survive
+
         l1_hits = c["l1_hits"]; l1_misses = c["l1_misses"]
         l1_fills = c["l1_fills"]; l1_evictions = c["l1_evictions"]
         l1_dirty_ev = c["l1_dirty_evictions"]; l1_inval = c["l1_invalidations"]
@@ -181,21 +225,19 @@ class DirtyReplay:
 
         l1_sets = self._l1_sets
         l2_sets = self._l2_sets
-        l1_tick = self._l1_tick
-        l2_tick = self._l2_tick
         l1_mask = self._l1_mask
         l2_mask = self._l2_mask
         l1_assoc = self._l1_assoc
         l2_assoc = self._l2_assoc
         offset_bits = self._offset_bits
+        pattern_mask = self._pattern_mask
         dbi = self._dbi
         open_rows = self._open_rows
-        bank_counts = self._bank_counts
         coords = self.coords
         overlap_keys = self._overlap_keys
         supports = self._supports_patterns
 
-        def submit(line_address, pattern, is_write):
+        def submit(key, is_write):
             # ImmediateController.submit: request stats, then the bank's
             # open-row state machine, then the column command.
             nonlocal requests, req_read, req_write, req_patt
@@ -203,214 +245,145 @@ class DirtyReplay:
             requests += 1
             if is_write:
                 req_write += 1
+                cmd_wr += 1
             else:
                 req_read += 1
-            if pattern:
+                cmd_rd += 1
+            if key & pattern_mask:
                 req_patt += 1
-            bank, row, _ = coords(line_address)
-            per_bank = bank_counts.get(bank)
-            if per_bank is None:
-                per_bank = bank_counts[bank] = [0, 0, 0, 0, 0]
-            per_bank[0] += 1
-            if open_rows[bank] == row:
+            bank, row, _ = coords(key)
+            open_row = open_rows[bank]
+            if open_row == row:
                 row_hits += 1
-                per_bank[1] += 1
             else:
-                if open_rows[bank] is not None:
+                if open_row is not None:
                     cmd_pre += 1
-                    per_bank[4] += 1
                 cmd_act += 1
                 open_rows[bank] = row
                 row_misses += 1
-                per_bank[2] += 1
-                per_bank[3] += 1
-            if is_write:
-                cmd_wr += 1
-            else:
-                cmd_rd += 1
 
-        def writeback(line_address, pattern):
+        def writeback(key):
             # CacheHierarchy._writeback minus the functional write:
             # DBI mark_clean, writebacks stat, timed WRITE request.
             nonlocal dbi_cleans, writebacks
-            bank, row, _ = coords(line_address)
+            bank, row, _ = coords(key)
             entries = dbi.get((bank, row))
             if entries is not None:
-                entries.discard((line_address, pattern))
+                entries.discard(key)
                 if not entries:
                     del dbi[(bank, row)]
                 dbi_cleans += 1
             writebacks += 1
-            submit(line_address, pattern, True)
+            submit(key, True)
 
-        def evict_everywhere(line_address, pattern):
+        def evict_everywhere(key):
             # L2 before L1, writing dirty copies back (the single-core
             # form of CacheHierarchy._evict_everywhere).
             nonlocal l1_inval, l2_inval, coh_inval, coh_flushes
-            key = (line_address, pattern)
             flushed = False
-            entry = l2_sets[(line_address >> offset_bits) & l2_mask].pop(key, None)
-            if entry is not None:
+            dirty = l2_sets[(key >> offset_bits) & l2_mask].pop(key, None)
+            if dirty is not None:
                 l2_inval += 1
                 coh_inval += 1
-                if entry[1]:
-                    writeback(line_address, pattern)
+                if dirty:
+                    writeback(key)
                     flushed = True
-            entry = l1_sets[(line_address >> offset_bits) & l1_mask].pop(key, None)
-            if entry is not None:
+            dirty = l1_sets[(key >> offset_bits) & l1_mask].pop(key, None)
+            if dirty is not None:
                 l1_inval += 1
                 coh_inval += 1
-                if entry[1]:
-                    writeback(line_address, pattern)
+                if dirty:
+                    writeback(key)
                     flushed = True
             if flushed:
                 coh_flushes += 1
 
-        def apply_store(entry, line_address, pattern, alt, shuffled_flag):
+        def apply_store(l1_set, key, was_dirty, alt):
             nonlocal dbi_marks, l2_inval
-            was_dirty = entry[1]
-            entry[1] = True
-            entry[2] = shuffled_flag
             if not was_dirty:
-                bank, row, _ = coords(line_address)
+                l1_set[key] = True
+                bank, row, _ = coords(key)
                 row_set = dbi.get((bank, row))
                 if row_set is None:
                     row_set = dbi[(bank, row)] = set()
-                row_set.add((line_address, pattern))
+                row_set.add(key)
                 dbi_marks += 1
             # A dirty L1 line must not coexist with an L2 copy.
-            stale = l2_sets[(line_address >> offset_bits) & l2_mask].pop(
-                (line_address, pattern), None
-            )
-            if stale is not None:
+            if l2_sets[(key >> offset_bits) & l2_mask].pop(key, None) is not None:
                 l2_inval += 1
             if supports:
-                keys, _ = overlap_keys(line_address, pattern, alt)
-                for other_address, other_pattern in keys:
-                    evict_everywhere(other_address, other_pattern)
+                for other in overlap_keys(key, alt)[0]:
+                    evict_everywhere(other)
 
-        def fill_l2(line_address, pattern, dirty):
-            # Cache.fill on L2: in-place replace, or min-stamp eviction
-            # + insert. Returns (entry, victim_key, victim_entry).
-            nonlocal l2_tick, l2_fills, l2_evictions, l2_dirty_ev
-            target = l2_sets[(line_address >> offset_bits) & l2_mask]
-            key = (line_address, pattern)
-            existing = target.get(key)
+        def fill_l2(key, dirty):
+            # Cache.fill on L2: in-place refresh, or LRU eviction (a
+            # dirty victim writes back) + insert.
+            nonlocal l2_fills, l2_evictions, l2_dirty_ev
+            target = l2_sets[(key >> offset_bits) & l2_mask]
+            existing = target.pop(key, None)
             if existing is not None:
-                existing[1] = existing[1] or dirty
-                l2_tick += 1
-                existing[0] = l2_tick
-                return existing, None, None
-            victim_key = victim_entry = None
+                target[key] = existing or dirty
+                return
+            victim = None
             if len(target) >= l2_assoc:
-                victim_key = min(target, key=lambda k: target[k][0])
-                victim_entry = target.pop(victim_key)
+                victim = next(iter(target))
                 l2_evictions += 1
-                if victim_entry[1]:
+                if target.pop(victim):
                     l2_dirty_ev += 1
-            l2_tick += 1
-            entry = [l2_tick, dirty, None]
-            target[key] = entry
+                else:
+                    victim = None
+            target[key] = dirty
             l2_fills += 1
-            return entry, victim_key, victim_entry
+            if victim is not None:
+                writeback(victim)
 
-        def fill_l1(line_address, pattern):
-            # Demand fills insert clean lines; a dirty victim demotes to
-            # L2 (CacheHierarchy._demote_dirty), whose own victim may
-            # write back.
-            nonlocal l1_tick, l1_fills, l1_evictions, l1_dirty_ev
-            target = l1_sets[(line_address >> offset_bits) & l1_mask]
-            key = (line_address, pattern)
-            existing = target.get(key)
-            if existing is not None:
-                l1_tick += 1
-                existing[0] = l1_tick
-                return existing
-            if len(target) >= l1_assoc:
-                victim_key = min(target, key=lambda k: target[k][0])
-                victim_entry = target.pop(victim_key)
-                l1_evictions += 1
-                if victim_entry[1]:
-                    l1_dirty_ev += 1
-                    l2_entry, l2_victim_key, l2_victim = fill_l2(
-                        victim_key[0], victim_key[1], True
-                    )
-                    ann = victim_entry[2]
-                    l2_entry[2] = ann if ann is not None else supports
-                    if l2_victim is not None and l2_victim[1]:
-                        writeback(l2_victim_key[0], l2_victim_key[1])
-            l1_tick += 1
-            entry = [l1_tick, False, None]
-            target[key] = entry
-            l1_fills += 1
-            return entry
-
-        for i in range(len(ls)):
-            line_address = ls[i]
-            pattern = ps[i]
-            key = (line_address, pattern)
-            is_write = ws[i]
-
-            l1_set = l1_sets[(line_address >> offset_bits) & l1_mask]
-            entry = l1_set.get(key)
-            if entry is not None:
-                l1_tick += 1
-                entry[0] = l1_tick
+        for key, is_write, alt in zip(ks, ws, alts):
+            l1_set = l1_sets[(key >> offset_bits) & l1_mask]
+            dirty = l1_set.pop(key, None)
+            if dirty is not None:
+                l1_set[key] = dirty
                 l1_hits += 1
                 if is_write:
-                    apply_store(entry, line_address, pattern, alts[i], shs[i])
+                    apply_store(l1_set, key, dirty, alt)
                 continue
             l1_misses += 1
 
-            l2_set = l2_sets[(line_address >> offset_bits) & l2_mask]
-            entry = l2_set.get(key)
-            if entry is not None:
-                l2_tick += 1
-                entry[0] = l2_tick
+            l2_set = l2_sets[(key >> offset_bits) & l2_mask]
+            dirty = l2_set.pop(key, None)
+            if dirty is not None:
+                l2_set[key] = dirty
                 l2_hits += 1
-                new_entry = fill_l1(line_address, pattern)
-                if is_write:
-                    stale = l2_set.pop(key, None)
-                    if stale is not None:
-                        l2_inval += 1
-                    apply_store(new_entry, line_address, pattern, alts[i], shs[i])
-                continue
-            l2_misses += 1
+            else:
+                # Miss path: flush dirty overlaps, fetch, fill L2
+                # (CacheHierarchy._start_fetch + _fill_complete for one
+                # synchronous demand waiter).
+                l2_misses += 1
+                if supports:
+                    others, other_set = overlap_keys(key, alt)
+                    if others:
+                        bank, row, _ = coords(key)
+                        dbi_queries += 1
+                        entries = dbi.get((bank, row))
+                        if entries:
+                            for other in sorted(entries & other_set):
+                                pf_flushes += 1
+                                evict_everywhere(other)
+                submit(key, False)
+                fill_l2(key, False)
 
-            # Miss path: flush dirty overlaps, fetch, fill L2 then L1,
-            # then land the store (CacheHierarchy._start_fetch +
-            # _fill_complete for one synchronous demand waiter).
-            alt = alts[i]
-            shuffled_flag = shs[i]
-            if supports:
-                keys, key_set = overlap_keys(line_address, pattern, alt)
-                if keys:
-                    bank, row, _ = coords(line_address)
-                    dbi_queries += 1
-                    entries = dbi.get((bank, row))
-                    if entries:
-                        dirty = entries & key_set
-                        for other_address, other_pattern in sorted(dirty):
-                            pf_flushes += 1
-                            evict_everywhere(other_address, other_pattern)
-            submit(line_address, pattern, False)
-            l2_entry, l2_victim_key, l2_victim = fill_l2(
-                line_address, pattern, False
-            )
-            l2_entry[2] = shuffled_flag
-            if l2_victim is not None and l2_victim[1]:
-                writeback(l2_victim_key[0], l2_victim_key[1])
-            new_entry = fill_l1(line_address, pattern)
+            # Demand fill of the (absent) key into L1 as a clean line; a
+            # dirty victim demotes to L2 (CacheHierarchy._demote_dirty).
+            if len(l1_set) >= l1_assoc:
+                victim = next(iter(l1_set))
+                l1_evictions += 1
+                if l1_set.pop(victim):
+                    l1_dirty_ev += 1
+                    fill_l2(victim, True)
+            l1_set[key] = False
+            l1_fills += 1
             if is_write:
-                stale = l2_sets[(line_address >> offset_bits) & l2_mask].pop(
-                    key, None
-                )
-                if stale is not None:
-                    l2_inval += 1
-                apply_store(new_entry, line_address, pattern, alt, shuffled_flag)
+                apply_store(l1_set, key, False, alt)
 
-        self._l1_tick = l1_tick
-        self._l2_tick = l2_tick
         c["l1_hits"] = l1_hits; c["l1_misses"] = l1_misses
         c["l1_fills"] = l1_fills; c["l1_evictions"] = l1_evictions
         c["l1_dirty_evictions"] = l1_dirty_ev; c["l1_invalidations"] = l1_inval
@@ -483,27 +456,6 @@ class DirtyReplay:
             "dbi": self.dbi_stats(),
         }
 
-    def row_profile(self) -> RowProfile:
-        """Per-bank row-buffer locality of the replayed DRAM stream."""
-        c = self.counts
-        profile = RowProfile(
-            row_hits=c["row_hits"],
-            row_misses=c["row_misses"],
-            activates=c["cmd_ACT"],
-            precharges=c["cmd_PRE"],
-        )
-        for bank, (serviced, hits, misses, acts, pres) in sorted(
-            self._bank_counts.items()
-        ):
-            profile.per_bank[bank] = {
-                "reads": serviced,
-                "row_hits": hits,
-                "row_misses": misses,
-                "activates": acts,
-                "precharges": pres,
-            }
-        return profile
-
     def collect_result(
         self, *, instructions: int, loads: int, stores: int
     ) -> RunResult:
@@ -559,12 +511,3 @@ class DirtyReplay:
             extra=extra,
         )
 
-
-def _as_list(values) -> list:
-    """Plain-list view of a sequence (numpy arrays via ``tolist``)."""
-    if isinstance(values, list):
-        return values
-    tolist = getattr(values, "tolist", None)
-    if tolist is not None:
-        return tolist()
-    return list(values)
