@@ -41,10 +41,6 @@ DEFAULT_THRESHOLD = 0.15
 #: Lines per strided-sweep point in the event-vs-fast bench cases
 #: (fixed across scales so recorded speedups are comparable over time).
 SWEEP_LINES = 1024
-#: The cluster bench sweeps longer points (per-spec wall-clock must
-#: dominate worker startup for the sharding ratio to mean anything).
-CLUSTER_SWEEP_LINES = 8192
-CLUSTER_SWEEP_STRIDES = (2, 4, 8)
 #: Functions shown per case in the ``--profile`` dump.
 PROFILE_TOP_N = 25
 
@@ -372,14 +368,6 @@ def machine_fingerprint() -> dict[str, str]:
     }
 
 
-def available_cpus() -> int:
-    """Cores this process may use — the ceiling on any cluster speedup."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-linux
-        return os.cpu_count() or 1
-
-
 def latest_baseline(results_dir: pathlib.Path) -> pathlib.Path | None:
     """The newest committed ``BENCH_*.json``, if any."""
     candidates = sorted(results_dir.glob("BENCH_*.json"))
@@ -623,144 +611,6 @@ def run_bench(
         payload["profiles"] = profiles
 
     return payload, exit_code
-
-
-def cluster_sweep_specs(lines: int = CLUSTER_SWEEP_LINES) -> list[RunSpec]:
-    """The cluster bench workload: a wide fig7-style strided sweep.
-
-    Wider and longer than the serial bench's sweep — more unique specs
-    give the hash ring something to balance, and per-spec event-mode
-    wall-clock must dominate per-worker startup for the measured ratio
-    to reflect sharding rather than fixed costs.
-    """
-    return [
-        RunSpec(
-            kind="patternscan",
-            params={"variant": variant, "stride": stride, "lines": size},
-            mode="event",
-        )
-        for size in (lines, lines // 2)
-        for stride in CLUSTER_SWEEP_STRIDES
-        for variant in ("scalar", "gathered")
-    ]
-
-
-def run_cluster_bench(
-    scale_name: str = "quick",
-    cluster: int = 4,
-    results_dir: str | os.PathLike = DEFAULT_RESULTS_DIR,
-    write: bool = True,
-    lines: int = CLUSTER_SWEEP_LINES,
-) -> tuple[dict, int]:
-    """Time one figure sweep at cluster sizes 1 and N; returns (payload, rc).
-
-    ``repro bench --cluster N``. Each size gets a fresh result cache
-    and its own :class:`~repro.serve.cluster.LocalCluster` of
-    single-slot process-executor workers, so the measured ratio is the
-    sharding speedup, not cache reuse. The per-size digest maps must be
-    identical — a cluster that is fast but wrong fails the bench — and
-    the baseline goes to ``CLUSTER_<stamp>.json`` (not ``BENCH_*``,
-    which the serial regression gate globs).
-    """
-    from repro.serve.cluster import LocalCluster
-    from repro.serve.server import ServeConfig
-
-    del scale_name  # sweep size is fixed (comparable across runs)
-    if cluster < 1:
-        raise ValueError(f"cluster size must be >= 1, got {cluster}")
-    specs = cluster_sweep_specs(lines)
-    sizes = [1, cluster] if cluster > 1 else [1]
-    worker_config = ServeConfig(
-        port=0, executor="process", workers=1, state_dir=None,
-        max_inflight=10_000, request_log=False,
-    )
-
-    entries = []
-    digest_maps = []
-    for size in sizes:
-        with tempfile.TemporaryDirectory(prefix="repro-cluster-bench-") as tmp:
-            cache = ResultCache(pathlib.Path(tmp) / "cache")
-            with LocalCluster(size, cache=cache,
-                              config=worker_config) as fleet:
-                coordinator = fleet.coordinator(
-                    poll=0.02, steal_after=30.0, speculate_after=300.0
-                )
-                start = time.perf_counter()
-                report = coordinator.run_sweep(specs)
-                wall = time.perf_counter() - start
-        digest_maps.append(report.digests)
-        entries.append({
-            "cluster": size,
-            "wall_s": wall,
-            "specs": len(specs),
-            "unique_specs": report.unique_specs,
-            "per_worker": report.per_worker,
-            "stats": report.stats,
-        })
-
-    digests_agree = all(d == digest_maps[0] for d in digest_maps)
-    speedup = None
-    if len(entries) == 2 and entries[1]["wall_s"]:
-        speedup = entries[0]["wall_s"] / entries[1]["wall_s"]
-    payload = {
-        "schema": 1,
-        "timestamp": datetime.datetime.now().isoformat(timespec="seconds"),
-        "sweep_lines": lines,
-        "machine": machine_fingerprint(),
-        # Sharding cannot beat the core count: a 1.0x speedup on a
-        # 1-CPU box is the hardware ceiling, not a cluster defect, so
-        # the baseline records what the ratio was measured against.
-        "cpus": available_cpus(),
-        "code_version": code_version(),
-        "cluster": {
-            "sizes": sizes,
-            "entries": entries,
-            "speedup": speedup,
-            "digests_agree": digests_agree,
-        },
-    }
-    if write:
-        results_dir = pathlib.Path(results_dir)
-        results_dir.mkdir(parents=True, exist_ok=True)
-        stamp = datetime.datetime.now().strftime("%Y%m%d-%H%M%S")
-        out_path = results_dir / f"CLUSTER_{stamp}.json"
-        out_path.write_text(json.dumps(payload, indent=2) + "\n")
-        payload["output_file"] = str(out_path)
-    return payload, 0 if digests_agree else 1
-
-
-def render_cluster_summary(payload: dict) -> str:
-    block = payload["cluster"]
-    lines = [
-        f"cluster bench @ sweep_lines={payload['sweep_lines']} "
-        f"({payload['machine']['hostname']}, "
-        f"py{payload['machine']['python']})"
-    ]
-    for entry in block["entries"]:
-        stats = entry["stats"]
-        lines.append(
-            f"  cluster={entry['cluster']:<2} {entry['wall_s']:8.3f}s "
-            f"for {entry['specs']} specs "
-            f"(stolen={stats['stolen']}, speculated={stats['speculated']}, "
-            f"rate_limited={stats['rate_limited']})"
-        )
-    if block.get("speedup"):
-        line = (
-            f"  cluster speedup: {block['speedup']:.2f}x "
-            f"({block['entries'][0]['wall_s']:.3f}s -> "
-            f"{block['entries'][-1]['wall_s']:.3f}s)"
-        )
-        cpus = payload.get("cpus", 0)
-        if cpus and cpus < block["entries"][-1]["cluster"]:
-            line += f" [ceiling: {cpus} cpu{'s' if cpus != 1 else ''}]"
-        lines.append(line)
-    lines.append(
-        "  digests agree across cluster sizes: "
-        + ("yes" if block["digests_agree"] else "NO — MISMATCH")
-    )
-    if "output_file" in payload:
-        lines.append(f"  wrote {payload['output_file']}")
-    return "\n".join(lines)
 
 
 def render_summary(payload: dict) -> str:

@@ -182,7 +182,6 @@ class SimulationServer:
         self,
         config: ServeConfig | None = None,
         cache: ResultCache | None | object = _DEFAULT,
-        runner: Any = None,
     ) -> None:
         self.config = config or ServeConfig()
         self.queue = JobQueue(
@@ -190,11 +189,7 @@ class SimulationServer:
             rate=self.config.rate,
             burst=self.config.burst,
         )
-        # An injected runner must match JobRunner's surface (async
-        # run(spec) -> (record, cached), mode, close()); the cluster
-        # front uses this seam to dispatch jobs to workers instead of
-        # executing them locally (repro.serve.cluster.ClusterRunner).
-        self.runner = runner if runner is not None else JobRunner(
+        self.runner = JobRunner(
             workers=self.config.workers,
             executor=self.config.executor,
             cache=cache,
@@ -328,9 +323,10 @@ class SimulationServer:
 
         No drain, no cancellation journalling: open jobs stay open in
         the journal exactly as a crash would leave them, so a later
-        server on the same state dir recovers them. Used by the cluster
-        worker-kill drills (:mod:`repro.serve.cluster`) and tests; a
-        production stop is :meth:`shutdown`.
+        server on the same state dir recovers them and re-executes them
+        under the same ids. Used by the crash-recovery tests
+        (:meth:`ServerThread.kill <repro.serve.testing.ServerThread.kill>`);
+        a production stop is :meth:`shutdown`.
         """
         if self._draining:
             await self.wait_stopped()
@@ -517,7 +513,6 @@ class SimulationServer:
                 fields["spec"],
                 client=fields["client"],
                 priority=fields["priority"],
-                shard=fields["shard"],
             )
         except AdmissionDenied as denied:
             code = 429
@@ -654,11 +649,11 @@ async def _write_response(
     await writer.drain()
 
 
-async def serve(config: ServeConfig | None = None, runner: Any = None) -> int:
+async def serve(config: ServeConfig | None = None) -> int:
     """Run a server until a signal or an admin shutdown stops it."""
     import signal
 
-    server = SimulationServer(config, runner=runner)
+    server = SimulationServer(config)
     await server.start()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGINT, signal.SIGTERM):

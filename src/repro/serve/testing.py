@@ -32,7 +32,6 @@ class ServerThread:
         self,
         config: ServeConfig | None = None,
         cache=None,
-        runner=None,
         drain_on_exit: bool = True,
         start_timeout: float = 10.0,
     ) -> None:
@@ -40,7 +39,6 @@ class ServerThread:
             port=0, executor="thread", state_dir=None
         )
         self._cache = cache
-        self._runner = runner
         self.drain_on_exit = drain_on_exit
         self.start_timeout = start_timeout
         self.server: SimulationServer | None = None
@@ -67,9 +65,7 @@ class ServerThread:
         asyncio.set_event_loop(loop)
         self._loop = loop
         try:
-            self.server = SimulationServer(
-                self.config, cache=self._cache, runner=self._runner
-            )
+            self.server = SimulationServer(self.config, cache=self._cache)
             loop.run_until_complete(self.server.start())
             self.port = self.server.port
         except BaseException as error:  # surfaced to start()
@@ -116,8 +112,9 @@ class ServerThread:
         """Simulate a crash: abort without draining or journalling.
 
         Queued and running jobs stay open in the journal exactly as a
-        real process death would leave them — the cluster recovery
-        tests restart a worker from this state.
+        real process death would leave them; ``TestRecovery`` in
+        ``tests/test_serve/test_server.py`` restarts a server from this
+        state.
         """
         if self.server is None or self._loop is None:
             return

@@ -9,6 +9,7 @@ in flight, graceful drain) gate the executing job on a
 sleeping, so the tests are deterministic.
 """
 
+import json
 import threading
 import time
 
@@ -18,7 +19,7 @@ from repro.perf.cache import ResultCache, code_version
 from repro.perf.specs import RunSpec, execute_spec
 from repro.serve import server as server_module
 from repro.serve.client import RateLimited, ServeError
-from repro.serve.protocol import DONE, QUEUED, result_digest
+from repro.serve.protocol import DONE, QUEUED, result_digest, spec_to_wire
 from repro.serve.server import ServeConfig
 from repro.serve.store import JobStore
 from repro.serve.testing import ServerThread
@@ -288,6 +289,23 @@ class TestRecovery:
             "priority": 0,
             "submitted_at": 1.0,
         })
+        # An entry written by an older server that still annotated jobs
+        # with a "shard"; appended raw so the key really is on disk.
+        sharded_spec = spec(stride=2, lines=16)
+        with store.path.open("a", encoding="utf-8") as journal:
+            journal.write(json.dumps({
+                "schema": 1,
+                "ts": 2.0,
+                "state": QUEUED,
+                "job": {
+                    "job_id": "j-sharded",
+                    "spec": spec_to_wire(sharded_spec),
+                    "client": "before-crash",
+                    "priority": 0,
+                    "submitted_at": 2.0,
+                    "shard": 3,
+                },
+            }) + "\n")
         with ServerThread(
             config(state_dir=str(state_dir)), cache=cache
         ) as handle:
@@ -296,6 +314,57 @@ class TestRecovery:
             assert job["state"] == DONE
             assert job["recovered"]
             assert job["digest"] == result_digest(execute_spec(the_spec))
+            job = client.wait("j-sharded", timeout=30.0)
+            assert job["state"] == DONE
+            assert job["recovered"]
+            assert "shard" not in job
+            assert job["digest"] == result_digest(execute_spec(sharded_spec))
+
+    def test_kill_while_running_restarts_and_reexecutes(
+        self, tmp_path, cache, monkeypatch
+    ):
+        """A server killed with a job *running* leaves it open in the
+        journal; a new server over the same journal re-executes it under
+        the same job id and serves the correct digest."""
+        gate = threading.Event()
+        calls = []
+
+        def gated(run_spec):
+            calls.append(run_spec)
+            assert gate.wait(30.0), "gate never released"
+            return execute_spec(run_spec)
+
+        target = spec(lines=24)
+        expected = result_digest(execute_spec(target))
+        monkeypatch.setattr(server_module, "execute_spec", gated)
+        state_dir = tmp_path / "state"
+        settings = config(state_dir=str(state_dir), workers=1)
+
+        first = ServerThread(settings, cache=cache).start()
+        try:
+            client = first.client()
+            job_id = client.submit(target, wait=False)["job"]["job_id"]
+            deadline = time.monotonic() + 10.0
+            while client.status(job_id)["state"] != "running":
+                assert time.monotonic() < deadline, "job never started"
+                time.sleep(0.01)
+        finally:
+            first.kill()
+        # A crash leaves the journal's open entries in place.
+        open_jobs = JobStore(state_dir).recover()
+        assert [job["job_id"] for job in open_jobs] == [job_id]
+
+        try:
+            with ServerThread(settings, cache=cache) as second:
+                gate.set()
+                job = second.client().wait(job_id, timeout=30.0)
+                assert job["state"] == DONE
+                assert job["recovered"] is True
+                assert job["cached"] is False
+                assert job["digest"] == expected
+        finally:
+            gate.set()
+        assert len(calls) == 2
 
     def test_recovered_job_with_cached_result_completes_without_rerun(
         self, tmp_path, cache, monkeypatch
