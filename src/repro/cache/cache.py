@@ -2,7 +2,9 @@
 
 The set index is derived from the line address only; the pattern ID
 extends the *tag* (Section 4.1), so a pattern-0 line and a gathered
-line for the same column may coexist in one set. Replacement is LRU.
+line for the same column may coexist in one set. Replacement is LRU:
+each set is a dict whose insertion order is its recency order, so a
+touch re-inserts the key and the victim is the first key, both O(1).
 
 The cache is a passive container: miss handling, writebacks, and
 coherence live in :class:`repro.cache.hierarchy.CacheHierarchy`.
@@ -42,10 +44,10 @@ class Cache:
             raise ConfigError(f"{name}: set count {self.num_sets} not a power of two")
         self._offset_bits = ilog2(line_bytes)
         self._set_mask = self.num_sets - 1
+        #: Per set: (line address, pattern) -> line, least recent first.
         self._sets: list[dict[tuple[int, int], CacheLine]] = [
             {} for _ in range(self.num_sets)
         ]
-        self._tick = 0
         self.stats = StatGroup(name)
 
     # ------------------------------------------------------------------
@@ -53,16 +55,19 @@ class Cache:
         """Set selected by a line address (pattern-independent)."""
         return (line_address >> self._offset_bits) & self._set_mask
 
-    def _touch(self, line: CacheLine) -> None:
-        self._tick += 1
-        line.last_touch = self._tick
-
     # ------------------------------------------------------------------
     def lookup(self, line_address: int, pattern: int, touch: bool = True) -> CacheLine | None:
-        """Return the resident line for (address, pattern), or None."""
-        line = self._sets[self.set_index(line_address)].get((line_address, pattern))
+        """Return the resident line for (address, pattern), or None.
+
+        ``touch`` makes a hit the set's most recent line; ``touch=False``
+        (a snoop or a probe) leaves the recency order alone.
+        """
+        target_set = self._sets[(line_address >> self._offset_bits) & self._set_mask]
+        key = (line_address, pattern)
+        line = target_set.get(key)
         if line is not None and touch:
-            self._touch(line)
+            del target_set[key]
+            target_set[key] = line
         return line
 
     def fill(
@@ -71,31 +76,31 @@ class Cache:
         pattern: int,
         data: bytearray,
         dirty: bool = False,
-    ) -> CacheLine | None:
-        """Insert a line; returns the evicted victim (None if no eviction).
+    ) -> tuple[CacheLine, CacheLine | None]:
+        """Insert a line; returns ``(inserted line, evicted victim or None)``.
 
         If the line is already resident its data is replaced in place
-        (used when a newer copy arrives from an inner level).
+        (used when a newer copy arrives from an inner level), its dirty
+        bit is ORed with ``dirty``, and it becomes the most recent line.
         """
-        target_set = self._sets[self.set_index(line_address)]
-        existing = target_set.get((line_address, pattern))
+        target_set = self._sets[(line_address >> self._offset_bits) & self._set_mask]
+        key = (line_address, pattern)
+        existing = target_set.pop(key, None)
         if existing is not None:
             existing.data = data
             existing.dirty = existing.dirty or dirty
-            self._touch(existing)
-            return None
+            target_set[key] = existing
+            return existing, None
+        counters = self.stats.counters
         victim = None
         if len(target_set) >= self.associativity:
-            victim = min(target_set.values(), key=lambda l: l.last_touch)
-            del target_set[victim.key]
-            self.stats.add("evictions")
+            victim = target_set.pop(next(iter(target_set)))
+            counters["evictions"] += 1
             if victim.dirty:
-                self.stats.add("dirty_evictions")
-        line = CacheLine(line_address, pattern, data, dirty)
-        self._touch(line)
-        target_set[line.key] = line
-        self.stats.add("fills")
-        return victim
+                counters["dirty_evictions"] += 1
+        line = target_set[key] = CacheLine(line_address, pattern, data, dirty)
+        counters["fills"] += 1
+        return line, victim
 
     def invalidate(self, line_address: int, pattern: int) -> CacheLine | None:
         """Remove (address, pattern) if resident; returns the removed line.
@@ -103,15 +108,18 @@ class Cache:
         The caller decides what to do with a dirty victim (write back or
         discard); the cache only tracks the invalidation.
         """
-        target_set = self._sets[self.set_index(line_address)]
+        target_set = self._sets[(line_address >> self._offset_bits) & self._set_mask]
         line = target_set.pop((line_address, pattern), None)
         if line is not None:
-            self.stats.add("invalidations")
+            self.stats.counters["invalidations"] += 1
         return line
 
     # ------------------------------------------------------------------
     def resident_lines(self) -> list[CacheLine]:
-        """All resident lines (diagnostics and drain logic)."""
+        """All resident lines (diagnostics and drain logic).
+
+        Set by set, each set least recently used first.
+        """
         return [line for s in self._sets for line in s.values()]
 
     def dirty_lines(self) -> list[CacheLine]:

@@ -27,7 +27,7 @@ class DirtyBlockIndex:
     def mark_dirty(self, row_key: tuple[int, int], line_key: tuple[int, int]) -> None:
         """Record that (line address, pattern) in ``row_key`` is dirty."""
         self._by_row[row_key].add(line_key)
-        self.stats.add("marks")
+        self.stats.counters["marks"] += 1
 
     def mark_clean(self, row_key: tuple[int, int], line_key: tuple[int, int]) -> None:
         """Remove a line from the index (written back or invalidated)."""
@@ -37,7 +37,7 @@ class DirtyBlockIndex:
         entries.discard(line_key)
         if not entries:
             del self._by_row[row_key]
-        self.stats.add("cleans")
+        self.stats.counters["cleans"] += 1
 
     def dirty_in_row(self, row_key: tuple[int, int]) -> set[tuple[int, int]]:
         """Dirty (line address, pattern) keys within one DRAM row."""
@@ -54,7 +54,7 @@ class DirtyBlockIndex:
         This is the Section 4.1 check: candidates are the <= c lines of
         the other pattern that overlap a line being fetched/modified.
         """
-        self.stats.add("overlap_queries")
+        self.stats.counters["overlap_queries"] += 1
         entries = self._by_row.get(row_key)
         if not entries:
             return set()

@@ -96,17 +96,14 @@ class CacheHierarchy:
         #: live on miss paths only, so ``None`` costs one check there
         #: and nothing on the synchronous hit fast path.
         self.tracer = None
+        self._line_mask = ~(line_bytes - 1)
+        #: The DBI's row key of a line: ``(bank, row)`` from the
+        #: mapping's shifts and masks.
+        self._row_key = self.module.mapping.row_key
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _line_address(self, address: int) -> int:
-        return address & ~(self.line_bytes - 1)
-
-    def _row_key(self, line_address: int) -> tuple[int, int]:
-        loc = self.module.decode(line_address)
-        return (loc.bank, loc.row)
-
     def _mark_dirty(self, line_address: int, pattern: int) -> None:
         self.dbi.mark_dirty(self._row_key(line_address), (line_address, pattern))
 
@@ -140,7 +137,7 @@ class CacheHierarchy:
         """
         if start_time is None:
             start_time = self.engine.now
-        line_address = self._line_address(address)
+        line_address = address & self._line_mask
         offset = address - line_address
         if offset + size > self.line_bytes:
             raise CoherenceError(
@@ -162,7 +159,7 @@ class CacheHierarchy:
         l1 = self.l1s[core_id]
         line = l1.lookup(line_address, pattern)
         if line is not None:
-            l1.stats.add("hits")
+            l1.stats.counters["hits"] += 1
             if is_write:
                 # Upgrade: a store hit on a (possibly shared) line must
                 # invalidate other cores' copies before writing.
@@ -170,8 +167,8 @@ class CacheHierarchy:
                                   start_time=start_time, invalidate=True)
                 self._apply_store(core_id, line, offset, payload, pattern,
                                   shuffled, alt_pattern, start_time)
-            return (l1.hit_latency, line.read(offset, size))
-        l1.stats.add("misses")
+            return (l1.hit_latency, bytes(line.data[offset : offset + size]))
+        l1.stats.counters["misses"] += 1
         if self.tracer is not None:
             self.tracer.instant(
                 "cache", "l1_miss", start_time, tid=core_id,
@@ -188,19 +185,20 @@ class CacheHierarchy:
         self._snoop_flush(line_address, pattern, exclude_core=core_id,
                           start_time=start_time, invalidate=is_write)
 
-        l2_line = self.l2.lookup(line_address, pattern)
+        l2 = self.l2
+        l2_line = l2.lookup(line_address, pattern)
         if l2_line is not None:
-            self.l2.stats.add("hits")
+            l2.stats.counters["hits"] += 1
             data = bytearray(l2_line.data)
             new_line = self._fill_l1(core_id, line_address, pattern, data, start_time)
             if is_write:
                 # Dirty L1 lines must not leave a stale L2 copy behind.
-                self.l2.invalidate(line_address, pattern)
+                l2.invalidate(line_address, pattern)
                 self._apply_store(core_id, new_line, offset, payload, pattern,
                                   shuffled, alt_pattern, start_time)
-            latency = l1.hit_latency + self.l2.hit_latency
-            return (latency, new_line.read(offset, size))
-        self.l2.stats.add("misses")
+            latency = l1.hit_latency + l2.hit_latency
+            return (latency, bytes(new_line.data[offset : offset + size]))
+        l2.stats.counters["misses"] += 1
 
         waiter = _Waiter(core_id, offset, size, is_write, payload, callback)
         self._start_fetch(
@@ -330,6 +328,8 @@ class CacheHierarchy:
         invalidate: bool,
     ) -> None:
         """Flush (and on stores, invalidate) other cores' copies."""
+        if len(self.l1s) == 1:
+            return
         for core_id, cache in enumerate(self.l1s):
             if core_id == exclude_core:
                 continue
@@ -354,50 +354,52 @@ class CacheHierarchy:
         return line.annotation_shuffled
 
     def _writeback(self, line, start_time: int) -> None:
-        """Functionally persist a dirty line now; account a timed WRITE."""
+        """Functionally persist a dirty line now; account a timed WRITE.
+
+        The line is decoded once: the functional write and the timed
+        request share the controller's location.
+        """
         shuffled = self._line_shuffled(line)
+        location = self.controller.locate(line.line_address)
         self.module.write_line(
-            line.line_address, bytes(line.data), line.pattern, shuffled
+            line.line_address, bytes(line.data), line.pattern, shuffled,
+            location,
         )
         self._mark_clean(line.line_address, line.pattern)
-        self.stats.add("writebacks")
+        self.stats.counters["writebacks"] += 1
         request = MemoryRequest(
             address=line.line_address,
             kind=RequestKind.WRITE,
             pattern=line.pattern,
             shuffled=shuffled,
+            no_data=True,
+            location=location,
         )
-        request.annotations["no_data"] = True
         self._submit(request, start_time)
 
     def _fill_l1(
         self, core_id: int, line_address: int, pattern: int, data: bytearray,
         start_time: int,
     ):
-        l1 = self.l1s[core_id]
-        victim = l1.fill(line_address, pattern, data)
+        line, victim = self.l1s[core_id].fill(line_address, pattern, data)
         if victim is not None and victim.dirty:
             self._demote_dirty(victim, start_time)
-        return l1.lookup(line_address, pattern, touch=False)
+        return line
 
     def _demote_dirty(self, victim, start_time: int) -> None:
         """A dirty L1 victim falls into L2 (staying dirty)."""
-        l2_victim = self.l2.fill(
+        line, l2_victim = self.l2.fill(
             victim.line_address, victim.pattern, victim.data, dirty=True
         )
         # Preserve the shuffle flag for the eventual writeback.
-        line = self.l2.lookup(victim.line_address, victim.pattern, touch=False)
-        if line is not None:
-            line.annotation_shuffled = self._line_shuffled(victim)
+        line.annotation_shuffled = self._line_shuffled(victim)
         if l2_victim is not None and l2_victim.dirty:
             self._writeback(l2_victim, start_time)
 
     def _fill_l2(self, line_address: int, pattern: int, data: bytearray,
                  shuffled: bool, start_time: int):
-        victim = self.l2.fill(line_address, pattern, data)
-        line = self.l2.lookup(line_address, pattern, touch=False)
-        if line is not None:
-            line.annotation_shuffled = shuffled
+        line, victim = self.l2.fill(line_address, pattern, data)
+        line.annotation_shuffled = shuffled
         if victim is not None and victim.dirty:
             self._writeback(victim, start_time)
         return line
@@ -442,9 +444,9 @@ class CacheHierarchy:
             pc=pc,
             core_id=core_id,
             callback=self._fill_complete,
+            no_data=True,
+            miss_key=key,
         )
-        request.annotations["no_data"] = True
-        request.annotations["miss_key"] = key
         self._submit(request, start_time)
 
     def _submit(self, request: MemoryRequest, start_time: int) -> None:
@@ -454,10 +456,10 @@ class CacheHierarchy:
             self.controller.submit(request)
 
     def _fill_complete(self, request: MemoryRequest) -> None:
-        key = request.annotations["miss_key"]
-        miss = self._misses.pop(key)
+        miss = self._misses.pop(request.miss_key)
         data = bytearray(
-            self.module.read_line(miss.line_address, miss.pattern, miss.shuffled)
+            self.module.read_line(miss.line_address, miss.pattern,
+                                  miss.shuffled, request.location)
         )
         now = self.engine.now
         if self.tracer is not None:
@@ -496,7 +498,8 @@ class CacheHierarchy:
                 )
                 current = bytearray(line.data)
             if waiter.callback is not None:
-                waiter.callback(line.read(waiter.offset, waiter.size))
+                offset = waiter.offset
+                waiter.callback(bytes(line.data[offset : offset + waiter.size]))
 
     # ------------------------------------------------------------------
     # Prefetching
@@ -519,7 +522,7 @@ class CacheHierarchy:
             self._issue_prefetch(candidate, start_time)
 
     def _issue_prefetch(self, candidate: PrefetchCandidate, start_time: int) -> None:
-        line_address = self._line_address(candidate.address)
+        line_address = candidate.address & self._line_mask
         if line_address >= self.module.geometry.capacity_bytes:
             return
         if (line_address, candidate.pattern) in self._misses:

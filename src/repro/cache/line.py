@@ -12,7 +12,7 @@ from __future__ import annotations
 class CacheLine:
     """One resident cache line; presence in its set implies validity."""
 
-    __slots__ = ("line_address", "pattern", "data", "dirty", "last_touch", "annotation_shuffled")
+    __slots__ = ("line_address", "pattern", "data", "dirty", "annotation_shuffled")
 
     def __init__(
         self,
@@ -25,17 +25,12 @@ class CacheLine:
         self.pattern = pattern
         self.data = data
         self.dirty = dirty
-        self.last_touch = 0
         self.annotation_shuffled: bool | None = None
 
     @property
     def key(self) -> tuple[int, int]:
         """The full tag: (line address, pattern ID)."""
         return (self.line_address, self.pattern)
-
-    def read(self, offset: int, size: int) -> bytes:
-        """Read ``size`` bytes at ``offset`` within the line."""
-        return bytes(self.data[offset : offset + size])
 
     def write(self, offset: int, payload: bytes) -> None:
         """Write ``payload`` at ``offset`` and mark the line dirty."""

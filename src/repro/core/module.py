@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.ctl import ColumnTranslationLogic, build_ctls
 from repro.core.shuffle import LSBShuffle, ShuffleFunction
-from repro.dram.address import Geometry, MappingPolicy
+from repro.dram.address import DecodedAddress, Geometry, MappingPolicy
 from repro.dram.module import DRAMModule
 from repro.dram.rank import Rank
 from repro.dram.timing import DEFAULT_CPU_PER_BUS, DRAMTiming
@@ -205,14 +205,15 @@ class GSModule(DRAMModule):
     # ------------------------------------------------------------------
     # Functional data movement (overrides add shuffle + patterns)
     # ------------------------------------------------------------------
-    def read_line(self, address: int, pattern: int = 0, shuffled: bool = True) -> bytes:
+    def read_line(self, address: int, pattern: int = 0, shuffled: bool = True,
+                  location: DecodedAddress | None = None) -> bytes:
         """Read one (possibly gathered) cache line.
 
         For pattern 0 this unshuffles back to the logical line; for a
         stride pattern the result holds the gathered values in ascending
-        address order.
+        address order. ``location`` is ``address`` already decoded.
         """
-        loc = self.mapping.decode(address)
+        loc = self.mapping.decode(address) if location is None else location
         if loc.offset != 0:
             raise AddressError(f"line read of unaligned address {address:#x}")
         table = self.line_table(loc.column, pattern, shuffled)
@@ -222,10 +223,11 @@ class GSModule(DRAMModule):
         return data[table.index].tobytes()
 
     def write_line(
-        self, address: int, data: bytes, pattern: int = 0, shuffled: bool = True
+        self, address: int, data: bytes, pattern: int = 0, shuffled: bool = True,
+        location: DecodedAddress | None = None,
     ) -> None:
         """Write (scatter) one cache line; exact inverse of read_line."""
-        loc = self.mapping.decode(address)
+        loc = self.mapping.decode(address) if location is None else location
         if loc.offset != 0:
             raise AddressError(f"line write of unaligned address {address:#x}")
         if len(data) != self.line_bytes:

@@ -106,6 +106,7 @@ class Core:
         if self._ops is None:
             return  # already finished (stale wake-up)
         ops = self._ops
+        counters = self.stats.counters
         while True:
             if self._cancelled:
                 self._finish()
@@ -126,7 +127,7 @@ class Core:
                 return
             if isinstance(op, Compute):
                 self._accum += op.count
-                self.stats.add("instructions", op.count)
+                counters["instructions"] += op.count
                 continue
             if not self._issue_memory(op):
                 return  # blocked on a miss; resumes in _memory_done
@@ -148,7 +149,7 @@ class Core:
     def _issue_memory(self, op) -> bool:
         """Issue a Load/Store. True if execution continues immediately."""
         is_write = isinstance(op, Store)
-        if self._buffer_hazard(op.pattern):
+        if self._outstanding_stores and self._buffer_hazard(op.pattern):
             # Drain the store buffer before crossing pattern classes.
             self._stalled_store = op
             self.stats.add("store_buffer_drains")
@@ -159,8 +160,9 @@ class Core:
                 self.stats.add("store_buffer_stalls")
                 return False
             return self._issue_buffered_store(op)
-        self.stats.add("instructions")
-        self.stats.add("stores" if is_write else "loads")
+        counters = self.stats.counters
+        counters["instructions"] += 1
+        counters["stores" if is_write else "loads"] += 1
         paddr, shuffled, alt_pattern = self.translate(op.address)
         pattern = op.pattern
         if self.auto_pattern is not None and not is_write:
@@ -194,7 +196,7 @@ class Core:
                 op.on_value(data)
             return True
         self._pending_op = op
-        self.stats.add("misses_blocked")
+        counters["misses_blocked"] += 1
         return False
 
     def _issue_buffered_store(self, op: Store) -> bool:
@@ -270,7 +272,11 @@ class Core:
         self.finish_time = self.engine.now + self._accum
         self._ops = None
         self.stats.add("finished")
-        if self._on_done is not None:
+        # Drop the callback as it is used: a finished core keeps no
+        # reference to whoever started it (System.run's closure would
+        # otherwise make the whole machine a reference cycle).
+        on_done, self._on_done = self._on_done, None
+        if on_done is not None:
             # Realize remaining local cycles before reporting completion.
-            self.engine.schedule(self._accum, self._on_done, self)
+            self.engine.schedule(self._accum, on_done, self)
         self._accum = 0

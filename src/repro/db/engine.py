@@ -30,6 +30,7 @@ from repro.db.workload import (
     AnalyticsQuery,
     HTAPWorkload,
     TransactionMix,
+    draw_transaction,
     generate_transaction_arrays,
     generate_transactions,
     make_rows,
@@ -259,10 +260,10 @@ def _endless_transactions(
     schema = layout.schema
     rng = random.Random(seed)
     for txn_index in itertools.count():
-        txns = generate_transactions(
-            schema, num_tuples, mix, 1, seed=rng.randrange(1 << 30)
+        txn = draw_transaction(
+            schema, num_tuples, mix, seed=rng.randrange(1 << 30)
         )
-        yield from layout.transaction_ops(txns[0])
+        yield from layout.transaction_ops(txn)
         committed[0] += 1
 
 

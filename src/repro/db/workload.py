@@ -230,6 +230,39 @@ def generate_transactions(
     ).to_transactions()
 
 
+def draw_transaction(
+    schema: TableSchema,
+    num_tuples: int,
+    mix: TransactionMix,
+    seed: int,
+) -> Transaction:
+    """One transaction, drawn alone: ``generate_transactions(..., 1, seed)[0]``.
+
+    The open-ended HTAP thread draws one transaction per seed; this
+    makes the same draws in the same order as the batch generator with
+    ``count == 1`` (one tuple id, one permutation of the field ids, the
+    write values) but as scalar draws on a plain ``Generator``, without
+    building and broadcasting a batch.
+    """
+    _check_mix(schema, mix)
+    i, j, k = mix.read_only, mix.write_only, mix.read_write
+    if mix.ops_per_txn == 0:
+        return Transaction(tuple_id=0, ops=())
+    rng = np.random.Generator(np.random.PCG64(seed))
+    tuple_id = int(rng.integers(num_tuples, dtype=np.int64))
+    perm = np.arange(schema.num_fields, dtype=np.int64)
+    rng.shuffle(perm)
+    fields = perm[: mix.total_fields].tolist()
+    values = [int(rng.integers(1 << VALUE_BITS, dtype=np.int64))
+              for _ in range(j + k)]
+    ops = [FieldOp(f, False) for f in fields[:i]]
+    ops += [FieldOp(f, True, v) for f, v in zip(fields[i : i + j], values)]
+    for f, v in zip(fields[i + j :], values[j:]):
+        # Read-modify-write: the field is read, then written.
+        ops += (FieldOp(f, False), FieldOp(f, True, v))
+    return Transaction(tuple_id=tuple_id, ops=tuple(ops))
+
+
 @dataclass(frozen=True)
 class AnalyticsQuery:
     """Sum one or more full columns."""

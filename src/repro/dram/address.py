@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import AddressError, ConfigError
 from repro.utils.bitops import ilog2, is_power_of_two
@@ -55,9 +56,13 @@ class Geometry:
         return self.capacity_bytes // self.line_bytes
 
 
-@dataclass(frozen=True)
-class DecodedAddress:
-    """A physical address decoded into DRAM coordinates."""
+class DecodedAddress(NamedTuple):
+    """A physical address decoded into DRAM coordinates.
+
+    A named tuple: the controller builds one per memory request, and a
+    tuple is immutable, compared and hashed by its fields, and cheap to
+    construct.
+    """
 
     bank: int
     row: int
@@ -68,6 +73,10 @@ class DecodedAddress:
     def line_key(self) -> tuple[int, int, int]:
         """(bank, row, column) — identifies one DRAM line."""
         return (self.bank, self.row, self.column)
+
+
+#: ``tuple.__new__`` skips the named tuple's Python-level ``__new__``.
+_new_tuple = tuple.__new__
 
 
 class MappingPolicy(enum.Enum):
@@ -124,7 +133,20 @@ class AddressMapping:
             line >>= self.bank_bits
             column = line & self._column_mask
             row = line >> self.column_bits
-        return DecodedAddress(bank=bank, row=row, column=column, offset=offset)
+        return _new_tuple(DecodedAddress, (bank, row, column, offset))
+
+    def row_key(self, address: int) -> tuple[int, int]:
+        """``(bank, row)`` of ``address``, without building a :class:`DecodedAddress`."""
+        if address < 0 or address >= self.capacity_bytes:
+            raise AddressError(
+                f"address {address:#x} outside module capacity "
+                f"{self.capacity_bytes:#x}"
+            )
+        line = address >> self.offset_bits
+        if self._row_bank_column:
+            line >>= self.column_bits
+            return (line & self._bank_mask, line >> self.bank_bits)
+        return (line & self._bank_mask, line >> (self.bank_bits + self.column_bits))
 
     def encode(self, bank: int, row: int, column: int, offset: int = 0) -> int:
         """Inverse of :meth:`decode`."""

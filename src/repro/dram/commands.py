@@ -1,8 +1,9 @@
 """DRAM command types.
 
 The controller drives banks with the standard DDR command set. Commands
-are plain frozen dataclasses so they can be logged, counted by the
-energy model, and replayed in tests.
+are validated immutable records (named tuples, cheap to build once per
+issued command) so they can be logged, counted by the energy model, and
+replayed in tests.
 
 Beyond the stock DDR vocabulary this model adds two in-DRAM compute
 commands (see docs/INDRAM.md):
@@ -19,9 +20,11 @@ commands (see docs/INDRAM.md):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ProtocolError
+
+_new_tuple = tuple.__new__
 
 
 class CommandKind(enum.Enum):
@@ -35,25 +38,18 @@ class CommandKind(enum.Enum):
     MULTI_ROW_ACTIVATE = "MRA"
     SHIFT = "SHIFT"
 
+    def __init__(self, value: str) -> None:
+        #: Controller stat counted per issued command of this kind (a
+        #: member attribute: an Enum member hashes in Python).
+        self.stat = f"cmd_{value}"
+
 
 #: Bitwise operations a multi-row activation can compute. AND/OR accept
 #: 2 or 3 source rows; MAJ (bitwise majority) requires exactly 3.
 MRA_OPS = ("AND", "OR", "MAJ")
 
 
-@dataclass(frozen=True)
-class Command:
-    """One command as issued on the command/address bus.
-
-    ``pattern`` is the GS-DRAM pattern ID riding on the spare column
-    address pins (Section 3.6); it is 0 for conventional accesses and is
-    ignored by plain (non-GS) modules.
-
-    ``rows``/``op`` are populated only for MRA (source rows and the
-    bitwise operation; ``row`` holds the destination), ``amount`` only
-    for SHIFT (bit positions, direction ``left``/``right`` in ``op``).
-    """
-
+class _CommandFields(NamedTuple):
     kind: CommandKind
     bank: int
     row: int = 0
@@ -63,7 +59,40 @@ class Command:
     op: str = ""
     amount: int = 0
 
-    def __post_init__(self) -> None:
+
+class Command(_CommandFields):
+    """One command as issued on the command/address bus.
+
+    ``pattern`` is the GS-DRAM pattern ID riding on the spare column
+    address pins (Section 3.6); it is 0 for conventional accesses and is
+    ignored by plain (non-GS) modules.
+
+    ``rows``/``op`` are populated only for MRA (source rows and the
+    bitwise operation; ``row`` holds the destination), ``amount`` only
+    for SHIFT (bit positions, direction ``left``/``right`` in ``op``).
+
+    Every construction is validated (:meth:`_validate`).
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: CommandKind,
+        bank: int,
+        row: int = 0,
+        column: int = 0,
+        pattern: int = 0,
+        rows: tuple[int, ...] = (),
+        op: str = "",
+        amount: int = 0,
+    ) -> "Command":
+        command = _new_tuple(cls, (kind, bank, row, column, pattern, rows, op,
+                                   amount))
+        command._validate()
+        return command
+
+    def _validate(self) -> None:
         # Audit shared fields first: REF is the only broadcast (bank-less)
         # command; everything else addresses a real bank and row/column.
         if self.kind is CommandKind.REFRESH:

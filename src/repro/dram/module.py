@@ -58,22 +58,26 @@ class DRAMModule:
     def decode(self, address: int) -> DecodedAddress:
         return self.mapping.decode(address)
 
-    def read_line(self, address: int, pattern: int = 0, shuffled: bool = False) -> bytes:
+    def read_line(self, address: int, pattern: int = 0, shuffled: bool = False,
+                  location: DecodedAddress | None = None) -> bytes:
         """Functionally read the line containing ``address``.
 
         ``shuffled`` is accepted for interface compatibility with the GS
         module and ignored (plain DRAM has no shuffle network).
+        ``location`` is ``address`` already decoded (the controller's
+        ``locate``); it saves the decode here.
         """
-        loc = self.mapping.decode(address)
+        loc = self.mapping.decode(address) if location is None else location
         if loc.offset != 0:
             raise AddressError(f"line read of unaligned address {address:#x}")
         return self.rank.read_line(loc.bank, loc.row, loc.column, pattern)
 
     def write_line(
-        self, address: int, data: bytes, pattern: int = 0, shuffled: bool = False
+        self, address: int, data: bytes, pattern: int = 0, shuffled: bool = False,
+        location: DecodedAddress | None = None,
     ) -> None:
         """Functionally write the line containing ``address``."""
-        loc = self.mapping.decode(address)
+        loc = self.mapping.decode(address) if location is None else location
         if loc.offset != 0:
             raise AddressError(f"line write of unaligned address {address:#x}")
         self.rank.write_line(loc.bank, loc.row, loc.column, data, pattern)

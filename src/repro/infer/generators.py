@@ -106,9 +106,11 @@ class PreparedWorkload:
 
     def read_image(self, system) -> bytes:
         """The live concatenated region bytes (drains dirty lines)."""
-        return b"".join(
-            system.mem_read(base, size) for base, size in self.regions
-        )
+        return _read_regions(system, self.regions)
+
+
+def _read_regions(system, regions: list[tuple[int, int]]) -> bytes:
+    return b"".join(system.mem_read(base, size) for base, size in regions)
 
 
 def _require(condition: bool, message: str, **context) -> None:
@@ -236,9 +238,13 @@ def prepare_gemv(system, variant: str, m: int = 16, n: int = 16,
         pc_traffic=counter,
     )
 
+    # finalize reads the regions, not ``prepared``: a closure over the
+    # object that holds it would make the machine a reference cycle.
+    regions = prepared.regions
+
     def finalize() -> tuple[bool, str]:
         verified = (outputs == oracle
-                    and prepared.read_image(system) == expected_image())
+                    and _read_regions(system, regions) == expected_image())
         return verified, _digest(_pack(outputs))
 
     prepared.finalize = finalize
@@ -325,9 +331,13 @@ def prepare_embed(system, variant: str, vocab: int = 64, bags: int = 6,
         pc_traffic=counter,
     )
 
+    # finalize reads the regions, not ``prepared``: a closure over the
+    # object that holds it would make the machine a reference cycle.
+    regions = prepared.regions
+
     def finalize() -> tuple[bool, str]:
         verified = (outputs == oracle
-                    and prepared.read_image(system) == expected_image())
+                    and _read_regions(system, regions) == expected_image())
         return verified, _digest(_pack(outputs))
 
     prepared.finalize = finalize
@@ -426,9 +436,13 @@ def prepare_kvcache(system, variant: str, steps: int = 6, heads: int = 8,
         pc_traffic=counter,
     )
 
+    # finalize reads the regions, not ``prepared``: a closure over the
+    # object that holds it would make the machine a reference cycle.
+    regions = prepared.regions
+
     def finalize() -> tuple[bool, str]:
         verified = (outputs == oracle
-                    and prepared.read_image(system) == expected_image())
+                    and _read_regions(system, regions) == expected_image())
         return verified, _digest(_pack(outputs))
 
     prepared.finalize = finalize

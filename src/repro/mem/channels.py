@@ -79,6 +79,12 @@ class _CombinedMapping:
         local_row = global_row // self.channels
         return channel, local_row * self.row_bytes + within
 
+    def row_key(self, address: int) -> tuple[int, int]:
+        """``(globalised bank, row)`` of a global address."""
+        channel, local = self.route(address)
+        bank, row = self._local.row_key(local)
+        return (channel * self._banks_per_channel + bank, row)
+
     def global_address(self, channel: int, local: int) -> int:
         local_row, within = divmod(local, self.row_bytes)
         return (local_row * self.channels + channel) * self.row_bytes + within
@@ -155,16 +161,21 @@ class MultiChannelModule:
         ]
 
     # ``shuffled`` defaults to True to mirror the GS module's native
-    # default (plain channels ignore the flag).
-    def read_line(self, address: int, pattern: int = 0, shuffled: bool = True) -> bytes:
+    # default (plain channels ignore the flag). ``location`` is the
+    # channel-local decode from ``MultiChannelController.locate``.
+    def read_line(self, address: int, pattern: int = 0, shuffled: bool = True,
+                  location: DecodedAddress | None = None) -> bytes:
         channel, local = self.route(address)
-        return self.channels[channel].read_line(local, pattern, shuffled)
+        return self.channels[channel].read_line(local, pattern, shuffled,
+                                                location)
 
     def write_line(
-        self, address: int, data: bytes, pattern: int = 0, shuffled: bool = True
+        self, address: int, data: bytes, pattern: int = 0, shuffled: bool = True,
+        location: DecodedAddress | None = None,
     ) -> None:
         channel, local = self.route(address)
-        self.channels[channel].write_line(local, data, pattern, shuffled)
+        self.channels[channel].write_line(local, data, pattern, shuffled,
+                                          location)
 
     def _row_pieces(self, address: int, length: int):
         """(channel, local address, offset into region, size) per global row."""
@@ -223,10 +234,13 @@ class MultiChannelController:
             for channel_module in module.channels
         ]
 
+    def locate(self, address: int) -> DecodedAddress:
+        """Channel-local DRAM coordinates of a global address's line."""
+        channel, local = self.module.route(address)
+        return self.controllers[channel].locate(local)
+
     def submit(self, request: MemoryRequest) -> None:
         channel, local = self.module.route(request.address)
-        request.annotations["channel"] = channel
-        request.annotations["global_address"] = request.address
         request.address = local
         self.controllers[channel].submit(request)
 

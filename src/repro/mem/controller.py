@@ -17,18 +17,14 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.dram.address import DecodedAddress
 from repro.dram.commands import Command, CommandKind
 from repro.dram.module import DRAMModule
 from repro.errors import SimulationError
-from repro.mem.request import MemoryRequest, Phase, RequestKind
+from repro.mem.request import MemoryRequest, Phase
 from repro.mem.schedulers import FRFCFS, Scheduler
 from repro.utils.events import Engine
 from repro.utils.statistics import Histogram, StatGroup
-
-#: Pre-rendered per-kind stat names; ``submit`` is called once per
-#: memory request and must not re-format strings on the hot path.
-_KIND_STAT = {kind: f"requests_{kind.value}" for kind in RequestKind}
-_CMD_STAT = {kind: f"cmd_{kind.value}" for kind in CommandKind}
 
 
 class MemoryController:
@@ -74,24 +70,39 @@ class MemoryController:
         self.stats = StatGroup("memory_controller")
         self.queue_delay = Histogram(bucket_width=50)
         self._last_refresh = 0
+        self._cpu_per_bus = module.cpu_per_bus
+        self._decode = module.mapping.decode
+        self._line_mask = ~(module.line_bytes - 1)
 
     # ------------------------------------------------------------------
     # Public interface
     # ------------------------------------------------------------------
+    def locate(self, address: int) -> DecodedAddress:
+        """DRAM coordinates of the line holding ``address``.
+
+        The one decode of a request: ``submit`` stores it on the request
+        (unless the submitter preset it from this method), and the
+        functional line access reuses it.
+        """
+        return self._decode(address & self._line_mask)
+
     def submit(self, request: MemoryRequest) -> None:
         """Queue a request; its callback fires when data is delivered."""
         if self.refresh_enabled:
             self._maybe_refresh()
         request.arrival_time = self.engine.now
-        request.location = self.module.decode(
-            self.module.mapping.line_address(request.address)
-        )
+        location = request.location
+        if location is None:
+            location = request.location = self._decode(
+                request.address & self._line_mask
+            )
         request.phase = Phase.QUEUED
-        self.stats.add("requests")
-        self.stats.add(_KIND_STAT[request.kind])
+        counters = self.stats.counters
+        counters["requests"] += 1
+        counters[request.kind.stat] += 1
         if request.pattern:
-            self.stats.add("requests_patterned")
-        bank_id = request.location.bank
+            counters["requests_patterned"] += 1
+        bank_id = location.bank
         self._queues[bank_id].append(request)
         if self._active[bank_id] is None:
             self._bank_next(bank_id)
@@ -113,11 +124,11 @@ class MemoryController:
         request = self.scheduler.choose(queue, bank)
         queue.remove(request)
         self._active[bank_id] = request
-        assert request.location is not None
-        if bank.is_open(request.location.row):
+        open_row = bank.open_row
+        if open_row == request.location.row:
             request.phase = Phase.NEED_COLUMN
             request.row_hit = True
-        elif bank.open_row is None:
+        elif open_row is None:
             request.phase = Phase.NEED_ACTIVATE
             request.row_hit = False
         else:
@@ -129,99 +140,88 @@ class MemoryController:
         # Wake-ups may be stale (the request they were scheduled for has
         # completed); the phase machine is idempotent, so a stale wake
         # simply drives whatever request is active now, or returns.
+        # Phases fall through: a PRE or ACT issued now lets the next
+        # phase try at the same cycle.
         request = self._active[bank_id]
         if request is None:
             return
         bank = self.module.banks[bank_id]
         now = self.engine.now
         timing = self.module.timing
+        phase = request.phase
 
-        if request.phase is Phase.NEED_PRECHARGE:
+        if phase is Phase.NEED_PRECHARGE:
             earliest = max(bank.next_precharge, self._cmd_free, now)
             if earliest > now:
                 self.engine.schedule_at(earliest, self._advance, bank_id)
                 return
             bank.issue_precharge(now)
-            self._record_command(Command(CommandKind.PRECHARGE, bank=bank_id))
-            self._occupy_cmd_bus(now)
-            request.phase = Phase.NEED_ACTIVATE
-            self._advance(bank_id)
-            return
+            self._record_command(Command(CommandKind.PRECHARGE, bank_id))
+            self._cmd_free = now + self._cpu_per_bus
+            phase = request.phase = Phase.NEED_ACTIVATE
 
-        if request.phase is Phase.NEED_ACTIVATE:
+        if phase is Phase.NEED_ACTIVATE:
             earliest = max(
                 bank.next_activate, self._rank_next_activate, self._cmd_free, now
             )
-            if len(self._recent_activates) >= 4:
+            recent = self._recent_activates
+            if len(recent) >= 4:
                 # Four-activate window: the 5th ACT waits for tFAW after
                 # the 1st of the last four.
-                earliest = max(
-                    earliest, self._recent_activates[-4] + timing.t_faw
-                )
+                earliest = max(earliest, recent[-4] + timing.t_faw)
             if earliest > now:
                 self.engine.schedule_at(earliest, self._advance, bank_id)
                 return
-            assert request.location is not None
-            bank.issue_activate(request.location.row, now)
-            self._recent_activates.append(now)
-            if len(self._recent_activates) > 4:
-                self._recent_activates.pop(0)
-            self._record_command(
-                Command(CommandKind.ACTIVATE, bank=bank_id,
-                        row=request.location.row)
-            )
-            self._occupy_cmd_bus(now)
+            row = request.location.row
+            bank.issue_activate(row, now)
+            recent.append(now)
+            if len(recent) > 4:
+                recent.pop(0)
+            self._record_command(Command(CommandKind.ACTIVATE, bank_id, row))
+            self._cmd_free = now + self._cpu_per_bus
             self._rank_next_activate = now + timing.t_rrd
-            request.phase = Phase.NEED_COLUMN
-            self._advance(bank_id)
-            return
+            phase = request.phase = Phase.NEED_COLUMN
 
-        if request.phase is Phase.NEED_COLUMN:
-            cas = timing.cwl if request.is_write else timing.cl
+        if phase is Phase.NEED_COLUMN:
+            cas = timing.cwl if request.kind.is_write else timing.cl
             earliest = max(
                 bank.next_column, self._cmd_free, self._bus_free - cas, now
             )
             if earliest > now:
                 self.engine.schedule_at(earliest, self._advance, bank_id)
                 return
-            self._issue_column(bank_id, request, now)
+            self._issue_column(bank, request, now)
             return
 
-        raise SimulationError(f"request in unexpected phase {request.phase}")
+        raise SimulationError(f"request in unexpected phase {phase}")
 
-    def _issue_column(self, bank_id: int, request: MemoryRequest, now: int) -> None:
-        bank = self.module.banks[bank_id]
-        timing = self.module.timing
-        assert request.location is not None
-        row = request.location.row
-        column = request.location.column
-        if request.is_write:
+    def _issue_column(self, bank, request: MemoryRequest, now: int) -> None:
+        bank_id, row, column, _offset = request.location
+        is_write = request.kind.is_write
+        if is_write:
             burst_end = bank.issue_write(row, now)
-            self._record_command(
-                Command(CommandKind.WRITE, bank=bank_id, row=row,
-                        column=column, pattern=request.pattern)
-            )
+            kind = CommandKind.WRITE
         else:
             burst_end = bank.issue_read(row, now)
-            self._record_command(
-                Command(CommandKind.READ, bank=bank_id, row=row,
-                        column=column, pattern=request.pattern)
-            )
-        self._occupy_cmd_bus(now)
+            kind = CommandKind.READ
+        self._record_command(Command(kind, bank_id, row, column, request.pattern))
+        self._cmd_free = now + self._cpu_per_bus
         self._bus_free = burst_end
-        self.stats.add("row_hits" if request.row_hit else "row_misses")
+        self.stats.counters["row_hits" if request.row_hit else "row_misses"] += 1
         request.issue_time = now
 
         # Functional data movement happens with the burst.
-        self._move_data(request)
+        if not request.no_data:
+            self._move_data(request)
 
-        finish = burst_end + self._data_path_latency(request)
+        # Extra controller-side latency: the GS shuffle network.
+        finish = burst_end + (self.shuffle_latency if request.shuffled else 0)
         request.finish_time = finish
         request.phase = Phase.DONE
         if self.tracer is not None:
             self.tracer.complete(
                 "controller",
-                "write" if request.is_write else "read",
+                "write" if is_write else "read",
                 request.arrival_time,
                 finish - request.arrival_time,
                 tid=bank_id,
@@ -265,17 +265,7 @@ class MemoryController:
         bank.issue_precharge(self.engine.now)
         self._record_command(Command(CommandKind.PRECHARGE, bank=bank_id))
 
-    def _data_path_latency(self, request: MemoryRequest) -> int:
-        """Extra controller-side latency: the GS shuffle network."""
-        if self.shuffle_latency and request.shuffled:
-            return self.shuffle_latency
-        return 0
-
     def _move_data(self, request: MemoryRequest) -> None:
-        if request.annotations.get("no_data"):
-            # The cache hierarchy handles functional data movement itself
-            # (writes at eviction time, reads at fill-completion time).
-            return
         address = self.module.mapping.line_address(request.address)
         if self.module.supports_patterns:
             if request.is_write:
@@ -319,11 +309,8 @@ class MemoryController:
     # ------------------------------------------------------------------
     # Shared buses, refresh, bookkeeping
     # ------------------------------------------------------------------
-    def _occupy_cmd_bus(self, now: int) -> None:
-        self._cmd_free = now + self.module.cpu_per_bus
-
     def _record_command(self, command: Command) -> None:
-        self.stats.add(_CMD_STAT[command.kind])
+        self.stats.counters[command.kind.stat] += 1
         if self.trace_commands:
             self.command_trace.append((self.engine.now, command))
         if self.tracer is not None:

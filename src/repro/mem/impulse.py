@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.pattern import gather_spec
+from repro.dram.address import DecodedAddress
 from repro.dram.module import DRAMModule
 from repro.errors import SimulationError
 from repro.mem.controller import MemoryController
@@ -111,7 +112,7 @@ class ImpulseController(MemoryController):
     ) -> None:
         width = self.module.geometry.column_bytes
         if any(data is None for data in lines.values()):
-            # Pieces carried no data (no_data annotation): the caller
+            # Pieces carried no data (no_data requests): the caller
             # handles functional movement; deliver without assembly.
             request.data = None
         else:
@@ -127,12 +128,12 @@ class ImpulseController(MemoryController):
 
     def _submit_scatter(self, request: MemoryRequest) -> None:
         """A patterned write: read-modify-write of every touched line."""
-        if request.data is None and not request.annotations.get("no_data"):
+        if request.data is None and not request.no_data:
             raise SimulationError(f"scatter without data: {request}")
         constituents = self._constituent_lines(request)
         width = self.module.geometry.column_bytes
         # Functional scatter first (unless the hierarchy did it).
-        if not request.annotations.get("no_data"):
+        if not request.no_data:
             for position, (address, value_index) in enumerate(constituents):
                 line = bytearray(self.module.read_line(address))
                 line[value_index * width : (value_index + 1) * width] = (
@@ -157,8 +158,8 @@ class ImpulseController(MemoryController):
                 RequestKind.WRITE,
                 core_id=request.core_id,
                 callback=on_piece,
+                no_data=True,  # functional part done above
             )
-            piece.annotations["no_data"] = True  # functional part done above
             super(ImpulseController, self).submit(piece)
 
 
@@ -203,9 +204,10 @@ class ImpulseModule(DRAMModule):
         column_mask = self.geometry.columns_per_row - 1
         return {((chip & pattern) ^ column) & column_mask for chip in range(chips)}
 
-    def read_line(self, address: int, pattern: int = 0, shuffled: bool = False) -> bytes:
+    def read_line(self, address: int, pattern: int = 0, shuffled: bool = False,
+                  location: DecodedAddress | None = None) -> bytes:
         if pattern == 0:
-            return super().read_line(address)
+            return super().read_line(address, location=location)
         width = self.geometry.column_bytes
         parts = []
         for line_address, offset in self._constituents_of(address, pattern):
@@ -213,10 +215,11 @@ class ImpulseModule(DRAMModule):
         return b"".join(parts)
 
     def write_line(
-        self, address: int, data: bytes, pattern: int = 0, shuffled: bool = False
+        self, address: int, data: bytes, pattern: int = 0, shuffled: bool = False,
+        location: DecodedAddress | None = None,
     ) -> None:
         if pattern == 0:
-            super().write_line(address, data)
+            super().write_line(address, data, location=location)
             return
         width = self.geometry.column_bytes
         for position, (line_address, offset) in enumerate(

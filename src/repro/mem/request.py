@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from repro.dram.address import DecodedAddress
 
@@ -19,9 +19,16 @@ class RequestKind(enum.Enum):
     WRITE = "write"
     PREFETCH = "prefetch"
 
-    @property
-    def is_write(self) -> bool:
-        return self is RequestKind.WRITE
+    def __init__(self, value: str) -> None:
+        # Plain member attributes, read once or more per request: no
+        # property call, and no dict keyed by a member (an Enum member
+        # hashes in Python).
+        self.is_write = value == "write"
+        #: Controller stat counted per submitted request of this kind.
+        self.stat = f"requests_{value}"
+        #: FR-FCFS rank among equally ready requests: reads, then
+        #: prefetches, then writes.
+        self.priority = ("read", "prefetch", "write").index(value)
 
 
 class Phase(enum.Enum):
@@ -43,9 +50,15 @@ class MemoryRequest:
     shuffle flag comes from the page table. ``pc`` feeds the stride
     prefetcher; ``core_id`` attributes stats and completions.
 
-    Slotted: simulations allocate one of these per memory operation,
-    and ``__slots__`` keeps them dict-free (ad-hoc metadata belongs in
-    ``annotations``).
+    Slotted and dict-free: simulations allocate one of these per memory
+    operation.
+
+    ``no_data`` marks a request whose submitter moves the data itself
+    (the cache hierarchy reads at fill completion and writes at
+    eviction), so the controller only times it. ``miss_key`` is the
+    hierarchy's MSHR key for a fetch. ``location`` is normally filled in
+    by the controller; a submitter that already decoded the line with
+    ``controller.locate`` may preset it.
     """
 
     address: int
@@ -56,15 +69,16 @@ class MemoryRequest:
     core_id: int = 0
     callback: Callable[["MemoryRequest"], None] | None = None
     data: bytes | None = None  # payload for writes, filled for reads
-    request_id: int = field(default_factory=lambda: next(_request_ids))
-    # Filled in by the controller:
+    request_id: int = field(default_factory=_request_ids.__next__)
+    no_data: bool = False
+    miss_key: tuple[int, int] | None = None
     location: DecodedAddress | None = None
+    # Filled in by the controller:
     phase: Phase = Phase.QUEUED
     arrival_time: int = 0
     issue_time: int = 0
     finish_time: int = 0
     row_hit: bool | None = None
-    annotations: dict[str, Any] = field(default_factory=dict)
 
     @property
     def is_write(self) -> bool:

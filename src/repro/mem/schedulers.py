@@ -11,7 +11,7 @@ is pluggable and an FCFS baseline is provided for the ablation.
 from __future__ import annotations
 
 from repro.dram.bank import Bank
-from repro.mem.request import MemoryRequest, RequestKind
+from repro.mem.request import MemoryRequest
 
 
 class Scheduler:
@@ -66,21 +66,16 @@ class FRFCFS(Scheduler):
     def choose(self, candidates: list[MemoryRequest], bank: Bank) -> MemoryRequest:
         # Single pass (this is the controller's hottest loop): track the
         # best hit and best miss by key instead of building pool lists.
-        # Key order encodes the policy: reads before writes, demand
-        # before prefetch, then age; request_id makes ties impossible.
+        # Key order encodes the policy: reads, then prefetches, then
+        # writes (``RequestKind.priority``), then age; request_id makes
+        # ties impossible.
         open_row = bank.open_row
         best_hit = best_miss = None
         best_hit_key = best_miss_key = None
         for request in candidates:
-            location = request.location
-            assert location is not None
-            key = (
-                request.kind.is_write,
-                request.kind is RequestKind.PREFETCH,
-                request.arrival_time,
-                request.request_id,
-            )
-            if location.row == open_row:
+            key = (request.kind.priority, request.arrival_time,
+                   request.request_id)
+            if request.location.row == open_row:
                 if best_hit is None or key < best_hit_key:
                     best_hit, best_hit_key = request, key
             else:

@@ -37,7 +37,7 @@ def commands_from_trace(events: list[dict]) -> list[tuple[int, Command]]:
             continue
         args = event.get("args", {})
         # The in-DRAM compute kinds carry extra fields that
-        # Command.__post_init__ validates; reconstruct them from the
+        # Command validates on construction; reconstruct them from the
         # event args (the PIM executor always records them).
         extra: dict = {}
         if kind is CommandKind.MULTI_ROW_ACTIVATE:

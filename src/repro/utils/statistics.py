@@ -16,37 +16,40 @@ class StatGroup:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._counters: Counter[str] = Counter()
+        #: The counters themselves. Per-access code increments this
+        #: ``Counter`` directly (``stats.counters["hits"] += 1``) to skip
+        #: a method call; ``add`` is for everything else.
+        self.counters: Counter[str] = Counter()
 
     def add(self, key: str, amount: int = 1) -> None:
         """Increment counter ``key`` by ``amount``."""
-        self._counters[key] += amount
+        self.counters[key] += amount
 
     def get(self, key: str) -> int:
         """Current value of counter ``key`` (0 if never incremented)."""
-        return self._counters[key]
+        return self.counters[key]
 
     def ratio(self, numerator: str, denominator: str) -> float:
         """``numerator / denominator`` as a float; 0.0 when denominator is 0."""
-        denom = self._counters[denominator]
+        denom = self.counters[denominator]
         if denom == 0:
             return 0.0
-        return self._counters[numerator] / denom
+        return self.counters[numerator] / denom
 
     def as_dict(self) -> dict[str, int]:
         """Snapshot of all counters, sorted by name."""
-        return dict(sorted(self._counters.items()))
+        return dict(sorted(self.counters.items()))
 
     def merge(self, other: "StatGroup") -> None:
         """Fold another group's counters into this one."""
-        self._counters.update(other._counters)
+        self.counters.update(other.counters)
 
     def reset(self) -> None:
         """Zero all counters."""
-        self._counters.clear()
+        self.counters.clear()
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{k}={v}" for k, v in sorted(self._counters.items()))
+        body = ", ".join(f"{k}={v}" for k, v in sorted(self.counters.items()))
         return f"StatGroup({self.name}: {body})"
 
 

@@ -31,7 +31,7 @@ from repro.cpu.isa import Compute, Load, Store
 from repro.dram.commands import Command, CommandKind
 from repro.energy.model import system_energy
 from repro.errors import ConfigError, SimulationError
-from repro.mem.controller import _KIND_STAT, MemoryController
+from repro.mem.controller import MemoryController
 from repro.mem.mapping import StaticPatternPolicy
 from repro.mem.request import MemoryRequest, Phase
 from repro.obs.session import current_session
@@ -122,16 +122,16 @@ class ImmediateController(MemoryController):
 
     def submit(self, request: MemoryRequest) -> None:
         request.arrival_time = 0
-        request.location = self.module.decode(
-            self.module.mapping.line_address(request.address)
-        )
-        self.stats.add("requests")
-        self.stats.add(_KIND_STAT[request.kind])
+        location = request.location
+        if location is None:
+            location = request.location = self.locate(request.address)
+        counters = self.stats.counters
+        counters["requests"] += 1
+        counters[request.kind.stat] += 1
         if request.pattern:
-            self.stats.add("requests_patterned")
+            counters["requests_patterned"] += 1
 
-        bank = request.location.bank
-        row = request.location.row
+        bank, row, column, _offset = location
         open_row = self._open_rows[bank]
         if open_row == row:
             request.row_hit = True
@@ -143,13 +143,11 @@ class ImmediateController(MemoryController):
                 Command(CommandKind.ACTIVATE, bank=bank, row=row)
             )
             self._open_rows[bank] = row
-        kind = CommandKind.WRITE if request.is_write else CommandKind.READ
-        self._record_command(
-            Command(kind, bank=bank, row=row,
-                    column=request.location.column, pattern=request.pattern)
-        )
-        self.stats.add("row_hits" if request.row_hit else "row_misses")
-        self._move_data(request)
+        kind = CommandKind.WRITE if request.kind.is_write else CommandKind.READ
+        self._record_command(Command(kind, bank, row, column, request.pattern))
+        counters["row_hits" if request.row_hit else "row_misses"] += 1
+        if not request.no_data:
+            self._move_data(request)
         request.issue_time = 0
         request.finish_time = 0
         request.phase = Phase.DONE

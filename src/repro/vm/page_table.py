@@ -65,6 +65,11 @@ class PageTable:
         return self._pages.get(address // self.page_bytes, self._default)
 
     def translate(self, address: int) -> tuple[int, bool, int]:
-        """Core-facing translation: (paddr, shuffled, alt_pattern)."""
-        info = self.lookup(address)
+        """Core-facing translation: (paddr, shuffled, alt_pattern).
+
+        Called once per load/store, so it does :meth:`lookup`'s work
+        inline rather than through a second call.
+        """
+        self.stats.counters["lookups"] += 1
+        info = self._pages.get(address // self.page_bytes, self._default)
         return (address, info.shuffled, info.alt_pattern)

@@ -44,9 +44,10 @@ class TestLookupFill:
 
     def test_refill_replaces_data_in_place(self):
         cache = make_cache()
-        cache.fill(0, 0, bytearray(b"\x01" * 64))
-        evicted = cache.fill(0, 0, bytearray(b"\x02" * 64))
+        first, _ = cache.fill(0, 0, bytearray(b"\x01" * 64))
+        line, evicted = cache.fill(0, 0, bytearray(b"\x02" * 64))
         assert evicted is None
+        assert line is first
         assert cache.lookup(0, 0).data[0] == 2
 
     def test_refill_keeps_dirty_bit(self):
@@ -62,7 +63,7 @@ class TestLRU:
         cache.fill(0, 0, bytearray(64))
         cache.fill(64, 0, bytearray(64))
         cache.lookup(0, 0)  # touch the older line
-        victim = cache.fill(128, 0, bytearray(64))
+        _, victim = cache.fill(128, 0, bytearray(64))
         assert victim.line_address == 64
 
     def test_lookup_without_touch_does_not_refresh(self):
@@ -70,8 +71,23 @@ class TestLRU:
         cache.fill(0, 0, bytearray(64))
         cache.fill(64, 0, bytearray(64))
         cache.lookup(0, 0, touch=False)
-        victim = cache.fill(128, 0, bytearray(64))
+        _, victim = cache.fill(128, 0, bytearray(64))
         assert victim.line_address == 0
+
+    def test_refill_of_resident_line_makes_it_most_recent(self):
+        cache = make_cache(size=2 * 64, assoc=2, line=64)
+        cache.fill(0, 0, bytearray(64))
+        cache.fill(64, 0, bytearray(64))
+        cache.fill(0, 0, bytearray(64))  # refill the older line
+        _, victim = cache.fill(128, 0, bytearray(64))
+        assert victim.line_address == 64
+
+    def test_fill_returns_the_inserted_line(self):
+        cache = make_cache()
+        line, victim = cache.fill(0, 7, bytearray(64), dirty=True)
+        assert victim is None
+        assert line is cache.lookup(0, 7, touch=False)
+        assert line.key == (0, 7) and line.dirty
 
 
 class TestInvalidate:

@@ -1,6 +1,8 @@
 """Tests for workload generators."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.db.schema import TableSchema
 from repro.db.table import OracleTable
@@ -8,6 +10,7 @@ from repro.db.workload import (
     FIGURE9_MIXES,
     AnalyticsQuery,
     TransactionMix,
+    draw_transaction,
     generate_transactions,
     make_rows,
 )
@@ -58,6 +61,24 @@ class TestGeneration:
     def test_too_many_fields_rejected(self):
         with pytest.raises(WorkloadError):
             generate_transactions(SCHEMA, 10, TransactionMix(5, 3, 2), 1)
+        with pytest.raises(WorkloadError):
+            draw_transaction(SCHEMA, 10, TransactionMix(5, 3, 2), 1)
+
+
+class TestDrawTransaction:
+    """``draw_transaction`` is the batch generator's one-transaction stream."""
+
+    @given(
+        mix=st.sampled_from((*FIGURE9_MIXES, TransactionMix(1, 1, 0))),
+        num_fields=st.sampled_from((8, 16)),
+        num_tuples=st.integers(min_value=1, max_value=1 << 20),
+        seed=st.integers(min_value=0, max_value=(1 << 30) - 1),
+    )
+    def test_matches_batch_generator(self, mix, num_fields, num_tuples, seed):
+        schema = TableSchema(num_fields=num_fields)
+        assert draw_transaction(schema, num_tuples, mix, seed) == (
+            generate_transactions(schema, num_tuples, mix, 1, seed)[0]
+        )
 
 
 class TestOracle:

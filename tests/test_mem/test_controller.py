@@ -150,8 +150,7 @@ class TestPatterns:
 class TestNoDataAnnotation:
     def test_skips_functional_movement(self):
         engine, module, controller = make()
-        request = MemoryRequest(0, RequestKind.READ)
-        request.annotations["no_data"] = True
+        request = MemoryRequest(0, RequestKind.READ, no_data=True)
         controller.submit(request)
         engine.run()
         assert request.data is None
