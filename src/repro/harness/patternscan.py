@@ -143,8 +143,11 @@ def _run_event(
         # The per-bank row profile is derived from the actual command
         # stream, so the fast path's analytics are checked against
         # commands the controller really issued, not a second model of
-        # them.
-        system.controller.trace_commands = True
+        # them. A tracing session has already handed in its own log.
+        if system.controller.command_log is None:
+            system.controller.command_log = []
+        command_log = system.controller.command_log
+        first_command = len(command_log)
         base = system.pattmalloc(lines * 64, shuffle=True, pattern=pattern)
     with timer.stage("generate"):
         system.mem_write(
@@ -190,18 +193,18 @@ def _run_event(
         expected=expected,
         verified=answer == expected,
         values_digest=hashlib.sha256(b"".join(chunks)).hexdigest(),
-        row_profile=_profile_from_commands(system.controller.command_trace),
+        row_profile=_profile_from_commands(command_log[first_command:]),
     )
 
 
-def _profile_from_commands(command_trace) -> dict:
+def _profile_from_commands(command_log) -> dict:
     """Per-bank row-locality counts from the controller's command log.
 
     Every row miss issues exactly one ACT (preceded by a PRE unless the
     bank was closed), so per bank: misses = ACTs, hits = RD+WR - ACTs.
     """
     per_bank: dict[int, dict[str, int]] = {}
-    for _time, command in command_trace:
+    for _time, command in command_log:
         counts = per_bank.setdefault(
             command.bank,
             {"reads": 0, "row_hits": 0, "row_misses": 0,

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dram.address import DecodedAddress
+from repro.dram.commands import Command
 from repro.dram.module import DRAMModule
 from repro.errors import AddressError, ConfigError
 from repro.mem.controller import MemoryController
@@ -233,6 +234,20 @@ class MultiChannelController:
             controller_factory(channel_module)
             for channel_module in module.channels
         ]
+
+    @property
+    def command_log(self) -> list[tuple[int, Command]] | None:
+        """The one command log every channel controller appends to.
+
+        Assigning a list shares it with all channels (``None`` turns
+        recording off). Entries carry channel-local bank IDs.
+        """
+        return self.controllers[0].command_log
+
+    @command_log.setter
+    def command_log(self, log: list[tuple[int, Command]] | None) -> None:
+        for controller in self.controllers:
+            controller.command_log = log
 
     def locate(self, address: int) -> DecodedAddress:
         """Channel-local DRAM coordinates of a global address's line."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.dram.address import DecodedAddress
-from repro.dram.commands import Command, CommandKind
+from repro.dram.commands import Command, CommandKind, refresh
 from repro.dram.module import DRAMModule
 from repro.errors import SimulationError
 from repro.mem.request import MemoryRequest, Phase
@@ -37,7 +37,6 @@ class MemoryController:
         scheduler: Scheduler | None = None,
         shuffle_latency: int = 3,
         refresh_enabled: bool = False,
-        trace_commands: bool = False,
         open_row_policy: bool = True,
     ) -> None:
         self.engine = engine
@@ -50,11 +49,13 @@ class MemoryController:
         self.scheduler.reset()
         self.shuffle_latency = shuffle_latency if module.supports_patterns else 0
         self.refresh_enabled = refresh_enabled
-        self.trace_commands = trace_commands
         #: Open-row (Table 1) vs closed-page: close the row after each
         #: column command when no queued request wants it.
         self.open_row_policy = open_row_policy
-        self.command_trace: list[tuple[int, Command]] = []
+        #: The DRAM command log: every issued command is appended as
+        #: ``(issue cycle, Command)``. ``None`` (the default) records
+        #: nothing; assign a list (possibly shared) to turn it on.
+        self.command_log: list[tuple[int, Command]] | None = None
         #: Optional structured tracer (:mod:`repro.obs.tracer`); ``None``
         #: keeps every hook to a single identity check on miss paths.
         self.tracer = None
@@ -260,10 +261,19 @@ class MemoryController:
         bank = self.module.banks[bank_id]
         if bank.open_row != row or self._active[bank_id] is not None:
             return  # a newer request reopened or is using the bank
-        if self.engine.now < bank.next_precharge:
+        now = self.engine.now
+        if now < bank.next_precharge:
             return  # superseded; a later close will fire if still idle
-        bank.issue_precharge(self.engine.now)
+        if now < self._cmd_free:
+            # The close is a command like any other: it waits for, and
+            # then takes, a command-bus slot.
+            self.engine.schedule_at(
+                self._cmd_free, self._do_precharge, bank_id, row
+            )
+            return
+        bank.issue_precharge(now)
         self._record_command(Command(CommandKind.PRECHARGE, bank=bank_id))
+        self._cmd_free = now + self._cpu_per_bus
 
     def _move_data(self, request: MemoryRequest) -> None:
         address = self.module.mapping.line_address(request.address)
@@ -311,21 +321,8 @@ class MemoryController:
     # ------------------------------------------------------------------
     def _record_command(self, command: Command) -> None:
         self.stats.counters[command.kind.stat] += 1
-        if self.trace_commands:
-            self.command_trace.append((self.engine.now, command))
-        if self.tracer is not None:
-            self.tracer.instant(
-                "dram-command",
-                command.kind.value,
-                self.engine.now,
-                tid=command.bank,
-                args={
-                    "bank": command.bank,
-                    "row": command.row,
-                    "column": command.column,
-                    "pattern": command.pattern,
-                },
-            )
+        if self.command_log is not None:
+            self.command_log.append((self.engine.now, command))
 
     def _maybe_refresh(self) -> None:
         """Lazy opportunistic refresh (accounting + bank blocking).
@@ -346,15 +343,8 @@ class MemoryController:
         self._last_refresh += intervals * timing.t_refi
         self.stats.add("cmd_REF", intervals)
         self.stats.add("refreshes", intervals)
-        if self.trace_commands:
-            from repro.dram.commands import refresh
-
-            self.command_trace.append((now, refresh()))
-        if self.tracer is not None:
-            self.tracer.instant(
-                "dram-command", CommandKind.REFRESH.value, now,
-                args={"bank": -1, "intervals": intervals},
-            )
+        if self.command_log is not None:
+            self.command_log.append((now, refresh()))
         # The most recent refresh is (conservatively) modelled as in
         # progress now: close all rows and block the banks for tRFC.
         end = now + timing.t_rp + timing.t_rfc

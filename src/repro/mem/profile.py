@@ -1,9 +1,10 @@
-"""Post-hoc profiling of controller command traces.
+"""Post-hoc profiling of DRAM command logs.
 
-Run a simulation with ``trace_commands=True`` and feed the controller's
-``command_trace`` here to get time-bucketed bandwidth, bus utilisation,
-and row-buffer locality — the standard plots a memory-systems paper
-shows beyond raw cycles. Being post-hoc, profiling adds zero cost to
+Assign a list to a controller's (or PIM executor's) ``command_log``
+before the run — a tracing observability session does this for you —
+and feed the recorded ``(cycle, Command)`` entries here to get
+time-bucketed bandwidth, bus utilisation, and row-buffer locality: the
+standard plots a memory-systems paper shows beyond raw cycles. Being post-hoc, profiling adds zero cost to
 runs that don't ask for it.
 """
 

@@ -1,17 +1,19 @@
 """Unified observability: metrics registry + structured event tracer.
 
-Three layers, all optional and all zero-cost when unused:
+Three parts, all optional and all zero-cost when unused:
 
 - :mod:`repro.obs.registry` — a :class:`MetricsRegistry` mapping
   component paths (``mem.controller``, ``cache.l1.core0``) to the
   components' live :class:`StatGroup`/:class:`Histogram` objects, with
   snapshot / diff / merge and JSON export;
 - :mod:`repro.obs.tracer` — a structured span/instant/counter tracer
-  (categories: core, cache, mshr, controller, dram-command) exporting
-  Chrome trace format for Perfetto;
-- :mod:`repro.obs.views` — bandwidth and row-locality profiles derived
-  from the trace's ``dram-command`` events, subsuming the old opt-in
-  ``command_trace`` path.
+  (categories: core, cache, mshr, controller, engine) exporting Chrome
+  trace format for Perfetto;
+- the DRAM command log — a tracing session's ``(cycle, Command)`` list
+  that every controller and PIM executor appends to. The export renders
+  it as ``dram-command`` instants (:func:`command_events`), and
+  :mod:`repro.mem.profile` reads it directly for bandwidth and
+  row-locality profiles.
 
 Activate with ``observe()``; any :class:`~repro.sim.system.System`
 built inside the block self-registers. ``RunSpec.obs`` plumbs the same
@@ -25,12 +27,8 @@ from repro.obs.tracer import (
     CATEGORIES,
     Tracer,
     chrome_trace,
+    command_events,
     validate_chrome_trace,
-)
-from repro.obs.views import (
-    bandwidth_view,
-    commands_from_trace,
-    row_locality_view,
 )
 
 __all__ = [
@@ -40,12 +38,10 @@ __all__ = [
     "ObsRun",
     "ObsSession",
     "Tracer",
-    "bandwidth_view",
     "chrome_trace",
-    "commands_from_trace",
+    "command_events",
     "current_session",
     "default_registry",
     "observe",
-    "row_locality_view",
     "validate_chrome_trace",
 ]

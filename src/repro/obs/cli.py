@@ -18,9 +18,9 @@ import pathlib
 
 from repro.harness.common import scale_by_name
 from repro.harness.specsets import SPEC_FIGURES, figure_specs, spec_label
+from repro.mem.profile import bandwidth_profile, row_locality
 from repro.obs.session import ObsRun
 from repro.obs.tracer import chrome_trace, validate_chrome_trace
-from repro.obs.views import bandwidth_view, row_locality_view
 
 
 def _observed_specs(figure: str, scale_name: str, obs: str):
@@ -59,6 +59,7 @@ def run_trace(
         del os.environ["REPRO_TRACE_LIMIT"]
 
     runs = []
+    logs = []
     dropped = 0
     for spec, record in zip(specs, records):
         if not isinstance(record, ObsRun) or record.trace_events is None:
@@ -67,6 +68,7 @@ def run_trace(
                 "was the cache populated by a non-obs build?"
             )
         runs.append((spec_label(spec), record.trace_events))
+        logs.append(record.command_log)
         dropped += record.dropped_events
 
     payload = chrome_trace(runs, dropped=dropped)
@@ -80,9 +82,11 @@ def run_trace(
         json.dump(payload, handle, separators=(",", ":"))
         handle.write("\n")
 
-    for label, events in runs:
-        locality = row_locality_view(events)
-        bandwidth = bandwidth_view(events)
+    # The summaries read the whole command log, which the per-run
+    # event limit never truncates.
+    for (label, events), log in zip(runs, logs):
+        locality = row_locality(log)
+        bandwidth = bandwidth_profile(log)
         print(
             f"  {label:<28} {len(events):>8} events"
             f"  row-run {locality.mean_row_run:6.1f}"

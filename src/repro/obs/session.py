@@ -6,13 +6,16 @@ active (``with observe(...) as session:``), every :class:`System`
 constructed registers its components into the session's
 :class:`MetricsRegistry` under stable dotted paths and — when tracing
 is requested — gets the session's :class:`Tracer` installed into its
-engine, cache hierarchy, and memory controller(s). The experiment
-drivers (``run_transactions`` et al.) need no new parameters.
+engine, cache hierarchy, and memory controller(s), and the session's
+DRAM command log handed to its controller(s). A
+:class:`~repro.pim.executor.PIMExecutor` built in the session appends
+to the same log. The experiment drivers (``run_transactions`` et al.)
+need no new parameters.
 
 :class:`ObsRun` is the picklable envelope a worker returns for an
 observed run: the driver's own record plus the metrics snapshot and
-(optionally) the raw trace events, so observed results survive both
-the process pool and the on-disk result cache.
+(optionally) the trace events and command log, so observed results
+survive both the process pool and the on-disk result cache.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from repro.dram.commands import Command
 from repro.obs.registry import MetricsRegistry, MetricsSnapshot
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, command_events
 
 _CURRENT: "ObsSession | None" = None
 
@@ -33,7 +37,8 @@ def current_session() -> "ObsSession | None":
 
 
 class ObsSession:
-    """One observation window: a registry, an optional tracer, systems."""
+    """One observation window: a registry, an optional tracer and
+    command log, systems."""
 
     def __init__(
         self,
@@ -44,6 +49,11 @@ class ObsSession:
         self.registry = MetricsRegistry()
         self.tracer: Tracer | None = (
             Tracer(max_events=max_trace_events, detail=detail) if trace else None
+        )
+        #: ``(issue cycle, Command)`` of every DRAM command the session's
+        #: controllers and PIM executors issue; ``None`` unless tracing.
+        self.command_log: list[tuple[int, Command]] | None = (
+            [] if trace else None
         )
         self._systems = 0
 
@@ -96,10 +106,24 @@ class ObsSession:
                     channel_controller.tracer = self.tracer
             else:
                 controller.tracer = self.tracer
+            controller.command_log = self.command_log
         return prefix
 
     def snapshot(self) -> MetricsSnapshot:
         return self.registry.snapshot()
+
+    def trace_events(self) -> tuple[list[dict], int]:
+        """The tracer's events plus the command log as ``dram-command``
+        instants, capped at the tracer's ``max_events``.
+
+        Returns ``(events, dropped)``; ``dropped`` counts both the
+        tracer's own overflow and the command instants cut by the cap.
+        """
+        tracer = self.tracer
+        log = self.command_log
+        room = max(tracer.max_events - len(tracer.events), 0)
+        events = tracer.events + command_events(log[:room])
+        return events, tracer.dropped + max(len(log) - room, 0)
 
 
 @contextmanager
@@ -139,6 +163,7 @@ class ObsRun:
     metrics: MetricsSnapshot
     trace_events: list[dict] | None = None
     dropped_events: int = 0
+    command_log: list[tuple[int, Command]] | None = None
     label: str = ""
     extra: dict = field(default_factory=dict)
 

@@ -2,11 +2,16 @@
 
 The tracer records *spans* (``ph: "X"`` complete events with a
 duration), *instant* events, and *counter* samples, each tagged with a
-category: ``core``, ``cache``, ``mshr``, ``controller``, or
-``dram-command``. Components hold a ``tracer`` attribute that is
-``None`` by default — the hooks are a single identity check on paths
-that already do real work, and the engine's dispatch loop keeps a
-completely untraced fast path — so a run without tracing pays nothing.
+category: ``core``, ``cache``, ``mshr``, ``controller`` or ``engine``.
+Components hold a ``tracer`` attribute that is ``None`` by default —
+the hooks are a single identity check on paths that already do real
+work, and the engine's dispatch loop keeps a completely untraced fast
+path — so a run without tracing pays nothing.
+
+DRAM commands are not tracer events: controllers and PIM executors
+append them to a ``(cycle, Command)`` command log, and
+:func:`command_events` renders that log as the ``dram-command``
+category at export.
 
 Export is Chrome trace format (the JSON object form), loadable in
 Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``. Timestamps
@@ -20,6 +25,7 @@ import json
 import os
 from typing import Any, Callable
 
+from repro.dram.commands import Command
 from repro.errors import ReproError
 
 #: The categories the simulator emits; validation rejects others so a
@@ -143,6 +149,30 @@ def _category_for(owner_type: type) -> str:
     if "Hierarchy" in name or "Cache" in name:
         return "cache"
     return "engine"
+
+
+def command_events(log: list[tuple[int, Command]]) -> list[dict]:
+    """A DRAM command log as ``dram-command`` instants, one per command.
+
+    Each instant is named by the command kind (``ACT``, ``RD``,
+    ``MRA``...) on the issuing bank's track (all-bank ``REF`` on track
+    0) and carries the bank, row, column and pattern, plus the MRA/SHIFT
+    ``rows``/``op``/``amount`` fields when set.
+    """
+    events = []
+    for cycle, command in log:
+        args = {"bank": command.bank, "row": command.row,
+                "column": command.column, "pattern": command.pattern}
+        if command.rows:
+            args["rows"] = list(command.rows)
+        if command.op:
+            args["op"] = command.op
+        if command.amount:
+            args["amount"] = command.amount
+        events.append({"name": command.kind.value, "cat": "dram-command",
+                       "ph": "i", "ts": cycle, "pid": 0,
+                       "tid": max(command.bank, 0), "s": "t", "args": args})
+    return events
 
 
 def chrome_trace(

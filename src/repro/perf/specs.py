@@ -122,8 +122,9 @@ def execute_spec(spec: RunSpec) -> Any:
     touches must be importable from a bare interpreter and everything
     it returns must pickle. Observed specs (``obs != "off"``) run under
     an observability session and return an :class:`~repro.obs.ObsRun`
-    envelope (record + metrics snapshot + optional trace events), which
-    pickles across both the pool and the result cache.
+    envelope (record + metrics snapshot + optional trace events and
+    command log), which pickles across both the pool and the result
+    cache.
     """
     if spec.obs != "off":
         import os
@@ -140,12 +141,13 @@ def execute_spec(spec: RunSpec) -> Any:
             detail=spec.obs == "trace-detail",
         ) as session:
             record = _execute_driver(spec)
-        tracer = session.tracer
+        events, dropped = session.trace_events() if trace else (None, 0)
         return ObsRun(
             record=record,
             metrics=session.snapshot(),
-            trace_events=list(tracer.events) if tracer is not None else None,
-            dropped_events=tracer.dropped if tracer is not None else 0,
+            trace_events=events,
+            dropped_events=dropped,
+            command_log=session.command_log,
         )
     return _execute_driver(spec)
 

@@ -20,17 +20,22 @@ from __future__ import annotations
 
 from repro.dram import commands
 from repro.errors import ProtocolError
+from repro.obs.session import current_session
 from repro.utils.statistics import StatGroup
 
 
 class PIMExecutor:
     """Issues MRA / SHIFT / readback streams against one DRAM module."""
 
-    def __init__(self, module, timed: bool = True, tracer=None) -> None:
+    def __init__(self, module, timed: bool = True) -> None:
         self.module = module
         self.timed = timed
-        self.tracer = tracer
         self.stats = StatGroup("pim")
+        #: DRAM command log, as on the memory controller: ``(issue
+        #: cycle, Command)`` per issued command (cycle 0 when untimed),
+        #: or ``None``. A tracing observability session hands in its own.
+        session = current_session()
+        self.command_log = session.command_log if session is not None else None
         banks = module.geometry.banks
         self._bank_time = [0] * banks
         self._bus_free = 0
@@ -51,21 +56,9 @@ class PIMExecutor:
         self._bus_free = issue + self.module.cpu_per_bus
         self._bank_time[bank_id] = end
 
-    def _trace(self, command) -> None:
-        if self.tracer is None:
-            return
-        args = {"bank": command.bank, "row": command.row,
-                "column": command.column, "pattern": command.pattern}
-        if command.rows:
-            args["rows"] = list(command.rows)
-        if command.kind is commands.CommandKind.MULTI_ROW_ACTIVATE:
-            args["op"] = command.op
-        if command.kind is commands.CommandKind.SHIFT:
-            args["op"] = command.op
-            args["amount"] = command.amount
-        now = self._bank_time[command.bank] if self.timed else 0
-        self.tracer.instant("dram-command", command.kind.value, now,
-                            tid=command.bank, args=args)
+    def _log(self, cycle: int, command) -> None:
+        if self.command_log is not None:
+            self.command_log.append((cycle, command))
 
     # ------------------------------------------------------------------
     # In-DRAM compute commands
@@ -77,12 +70,13 @@ class PIMExecutor:
         self.module.rank.mra(bank_id, command.rows, dest, op)
         self.stats.add(f"cmd_MRA{len(command.rows)}")
         self.stats.add(f"mra_{op.lower()}")
+        issue = 0
         if self.timed:
             bank = self.module.banks[bank_id]
             issue = max(self._slot(bank_id), bank.next_activate)
             end = bank.issue_mra(command.rows, issue)
             self._took(bank_id, issue, end)
-        self._trace(command)
+        self._log(issue, command)
 
     def shift(self, bank_id: int, row: int, amount: int,
               direction: str = "left") -> None:
@@ -92,12 +86,13 @@ class PIMExecutor:
         stages = amount.bit_length()
         self.stats.add("cmd_SHIFT")
         self.stats.add("shift_stages", stages)
+        issue = 0
         if self.timed:
             bank = self.module.banks[bank_id]
             issue = max(self._slot(bank_id), bank.next_activate)
             end = bank.issue_shift(stages, issue)
             self._took(bank_id, issue, end)
-        self._trace(command)
+        self._log(issue, command)
 
     # ------------------------------------------------------------------
     # Data movement
@@ -123,19 +118,27 @@ class PIMExecutor:
                 f"readback of {columns} lines from a "
                 f"{self.module.geometry.columns_per_row}-column row")
         timing = self.module.timing
+        # Issue cycles: the ACT, one READ per column, the PRE.
+        cycles = [0] * (columns + 2)
         if self.timed:
             bank = self.module.banks[bank_id]
-            issue = max(self._slot(bank_id), bank.next_activate)
+            issue = cycles[0] = max(self._slot(bank_id), bank.next_activate)
             bank.issue_activate(row, issue)
             self._bus_free = issue + self.module.cpu_per_bus
             burst_end = issue
-            for _ in range(columns):
-                slot = max(self._bus_free, bank.next_column)
+            for column in range(columns):
+                slot = cycles[column + 1] = max(self._bus_free, bank.next_column)
                 burst_end = bank.issue_read(row, slot)
                 self._bus_free = slot + self.module.cpu_per_bus
-            pre = max(self._bus_free, bank.next_precharge, burst_end)
+            pre = cycles[-1] = max(self._bus_free, bank.next_precharge, burst_end)
             bank.issue_precharge(pre)
             self._bank_time[bank_id] = pre + timing.t_rp
+        if self.command_log is not None:
+            reads = (commands.Command(commands.CommandKind.READ, bank_id, row,
+                                      column) for column in range(columns))
+            self.command_log.extend(zip(cycles, (
+                commands.activate(bank_id, row), *reads,
+                commands.precharge(bank_id))))
         self.stats.add("cmd_ACT")
         self.stats.add("cmd_RD", columns)
         self.stats.add("cmd_PRE")

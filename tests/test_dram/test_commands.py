@@ -62,12 +62,13 @@ class TestCommandTrace:
         engine = Engine()
         module = GSModule(geometry=Geometry(banks=2, rows_per_bank=8,
                                             columns_per_row=16))
-        controller = MemoryController(engine, module, trace_commands=True)
+        controller = MemoryController(engine, module)
+        controller.command_log = []
         controller.submit(MemoryRequest(0, RequestKind.READ, pattern=7))
         engine.run()
-        kinds = [command.kind for _, command in controller.command_trace]
+        kinds = [command.kind for _, command in controller.command_log]
         assert kinds == [CommandKind.ACTIVATE, CommandKind.READ]
-        _, read_cmd = controller.command_trace[-1]
+        _, read_cmd = controller.command_log[-1]
         assert read_cmd.pattern == 7
         assert read_cmd.column == 0
 
@@ -75,13 +76,14 @@ class TestCommandTrace:
         engine = Engine()
         geometry = Geometry(banks=2, rows_per_bank=8, columns_per_row=16)
         module = GSModule(geometry=geometry)
-        controller = MemoryController(engine, module, trace_commands=True)
+        controller = MemoryController(engine, module)
+        controller.command_log = []
         controller.submit(MemoryRequest(0, RequestKind.READ))
         engine.run()
         conflict = module.mapping.encode(bank=0, row=1, column=0)
         controller.submit(MemoryRequest(conflict, RequestKind.READ))
         engine.run()
-        kinds = [command.kind for _, command in controller.command_trace]
+        kinds = [command.kind for _, command in controller.command_log]
         assert kinds == [
             CommandKind.ACTIVATE, CommandKind.READ,
             CommandKind.PRECHARGE, CommandKind.ACTIVATE, CommandKind.READ,
@@ -91,11 +93,12 @@ class TestCommandTrace:
         engine = Engine()
         module = GSModule(geometry=Geometry(banks=2, rows_per_bank=8,
                                             columns_per_row=16))
-        controller = MemoryController(engine, module, trace_commands=True)
+        controller = MemoryController(engine, module)
+        controller.command_log = []
         for i in range(6):
             controller.submit(MemoryRequest(i * 64, RequestKind.READ))
         engine.run()
-        times = [time for time, _ in controller.command_trace]
+        times = [time for time, _ in controller.command_log]
         assert times == sorted(times)
 
 

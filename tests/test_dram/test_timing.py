@@ -81,7 +81,8 @@ class TestTFAW:
         engine = Engine()
         module = GSModule(geometry=Geometry(banks=8, rows_per_bank=16,
                                             columns_per_row=16))
-        controller = MemoryController(engine, module, trace_commands=True)
+        controller = MemoryController(engine, module)
+        controller.command_log = []
         # Five misses to five different banks: ACTs rate-limited by tFAW.
         for bank in range(5):
             controller.submit(
@@ -89,7 +90,7 @@ class TestTFAW:
                               RequestKind.READ)
             )
         engine.run()
-        act_times = [time for time, cmd in controller.command_trace
+        act_times = [time for time, cmd in controller.command_log
                      if cmd.kind.value == "ACT"]
         assert len(act_times) == 5
         assert act_times[4] - act_times[0] >= module.timing.t_faw

@@ -1,4 +1,4 @@
-"""Tests for command-trace profiling."""
+"""Tests for command-log profiling."""
 
 import pytest
 
@@ -64,6 +64,15 @@ class TestRowLocality:
         assert locality.activates_per_bank[0] == 2
         assert locality.columns_per_activate[0] == pytest.approx(1.5)
 
+    def test_reads_and_writes_extend_one_run(self):
+        trace = [
+            (0, activate(0, 1)),
+            (100, read(0, 0)),
+            (200, read(0, 1)),
+            (1500, write(0, 2)),
+        ]
+        assert row_locality(trace).mean_row_run == pytest.approx(3.0)
+
     def test_mean_row_run_empty(self):
         assert row_locality([]).mean_row_run == 0.0
 
@@ -101,11 +110,12 @@ class TestEndToEnd:
         engine = Engine()
         module = GSModule(geometry=Geometry(banks=4, rows_per_bank=16,
                                             columns_per_row=32))
-        controller = MemoryController(engine, module, trace_commands=True)
+        controller = MemoryController(engine, module)
+        controller.command_log = []
         for address in addresses:
             controller.submit(MemoryRequest(address, RequestKind.READ))
         engine.run()
-        return controller.command_trace
+        return controller.command_log
 
     def test_streaming_scan_has_long_row_runs(self):
         trace = self._trace_for([i * 64 for i in range(32)])
@@ -118,14 +128,15 @@ class TestEndToEnd:
         geometry = Geometry(banks=4, rows_per_bank=16, columns_per_row=32)
         engine = Engine()
         module = GSModule(geometry=geometry)
-        controller = MemoryController(engine, module, trace_commands=True)
+        controller = MemoryController(engine, module)
+        controller.command_log = []
         row_bytes = geometry.row_bytes
         for i in range(8):
             controller.submit(
                 MemoryRequest((i % 2) * 4 * row_bytes, RequestKind.READ)
             )
             engine.run()
-        locality = row_locality(controller.command_trace)
+        locality = row_locality(controller.command_log)
         assert locality.mean_row_run <= 1.5
         assert locality.activates_per_bank[0] >= 7
 
@@ -145,10 +156,11 @@ class TestEndToEnd:
         engine = Engine()
         module = GSModule(geometry=Geometry(banks=4, rows_per_bank=16,
                                             columns_per_row=32))
-        controller = MemoryController(engine, module, trace_commands=True)
+        controller = MemoryController(engine, module)
+        controller.command_log = []
         for group in range(4):
             controller.submit(MemoryRequest(group * 8 * 64, RequestKind.READ,
                                             pattern=7))
         engine.run()
-        gathered = bandwidth_profile(controller.command_trace)
+        gathered = bandwidth_profile(controller.command_log)
         assert gathered.total_bytes == plain.total_bytes // 8

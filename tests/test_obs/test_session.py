@@ -4,9 +4,13 @@ import pickle
 
 import pytest
 
+from repro.dram.commands import Command, CommandKind
 from repro.errors import ConfigError
+from repro.mem.profile import bandwidth_profile, row_locality
 from repro.obs.session import ObsRun, ObsSession, current_session, observe
+from repro.obs.tracer import command_events
 from repro.perf.specs import RunSpec, cache_key, execute_spec
+from repro.pim.executor import PIMExecutor
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
 
@@ -69,10 +73,40 @@ class TestAttachment:
         assert system.hierarchy.tracer is session.tracer
         assert system.controller.tracer is session.tracer
 
+    def test_command_log_handed_out_only_when_tracing(self):
+        with observe() as session:
+            system = System(_tiny_config())
+            executor = PIMExecutor(system.module)
+        assert session.command_log is None
+        assert system.controller.command_log is None
+        assert executor.command_log is None
+        with observe(trace=True) as session:
+            single = System(_tiny_config())
+            dual = System(_tiny_config(channels=2))
+            executor = PIMExecutor(single.module)
+        assert single.controller.command_log is session.command_log
+        assert executor.command_log is session.command_log
+        for controller in dual.controller.controllers:
+            assert controller.command_log is session.command_log
+
     def test_prefetcher_registered_when_present(self):
         with observe() as session:
             System(_tiny_config(prefetch=True))
         assert "cache.prefetcher" in session.registry.paths()
+
+
+class TestCommandLogProfiles:
+    def test_empty_trace(self):
+        # A traced session whose systems issue no command leaves an
+        # empty log; the trace summaries must profile it to zero.
+        with observe(trace=True) as session:
+            System(_tiny_config())
+        assert session.command_log == []
+        assert bandwidth_profile(session.command_log).total_bytes == 0
+        assert row_locality(session.command_log).mean_row_run == 0.0
+        events, dropped = session.trace_events()
+        assert not any(event["cat"] == "dram-command" for event in events)
+        assert dropped == 0
 
 
 class TestSpecIntegration:
@@ -105,9 +139,28 @@ class TestSpecIntegration:
         categories = {event["cat"] for event in record.trace_events}
         assert "dram-command" in categories
         assert "controller" in categories
+        assert sum(event["cat"] == "dram-command"
+                   for event in record.trace_events) == len(record.command_log)
         restored = pickle.loads(pickle.dumps(record))
         assert restored.metrics.paths() == record.metrics.paths()
         assert len(restored.trace_events) == len(record.trace_events)
+        assert restored.command_log == record.command_log
+
+    def test_command_log_rendered_once_and_capped(self):
+        session = ObsSession(trace=True, max_trace_events=3)
+        session.tracer.instant("cache", "l1_miss", 0)
+        session.command_log.extend(
+            (cycle, Command(CommandKind.READ, 1, 2, cycle))
+            for cycle in range(4)
+        )
+        events, dropped = session.trace_events()
+        assert [event["cat"] for event in events] == [
+            "cache", "dram-command", "dram-command"]
+        assert dropped == 2
+        assert events[1:] == command_events(session.command_log[:2])
+        assert events[1]["tid"] == 1
+        assert events[1]["args"] == {"bank": 1, "row": 2, "column": 0,
+                                     "pattern": 0}
 
     def test_untraced_run_is_plain_record(self):
         record = execute_spec(GEMM_SPEC)

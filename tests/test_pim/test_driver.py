@@ -1,8 +1,15 @@
 """Tests for the GS-vs-PIM ablation driver (repro.pim.driver)."""
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
+from repro.dram.commands import CommandKind
 from repro.errors import ConfigError
+from repro.harness.common import QUICK
+from repro.harness.specsets import figure_specs
+from repro.obs import observe
 from repro.perf.specs import RunSpec, execute_spec
 from repro.pim.driver import run_pim
 
@@ -113,3 +120,51 @@ class TestSpecDispatch:
         assert (run.workload, run.variant, run.mode) == ("filter", "pim",
                                                          "fast")
         assert run.params["seed"] == 1
+
+
+def _log_counts(log) -> Counter:
+    """Per-stat command counts of a log (MRA split by fan-in)."""
+    return Counter(
+        f"cmd_MRA{len(command.rows)}"
+        if command.kind is CommandKind.MULTI_ROW_ACTIVATE
+        else command.kind.stat
+        for _, command in log
+    )
+
+
+class TestCommandLog:
+    @pytest.mark.parametrize("workload", ["sum", "filter"])
+    def test_log_counts_match_executor_stats(self, workload):
+        with observe(trace=True) as session:
+            run = run_pim(workload, "pim", mode="event", num_tuples=TUPLES)
+        stats = run.component_stats["pim"]
+        counts = _log_counts(session.command_log)
+        for key in ("cmd_MRA2", "cmd_MRA3", "cmd_SHIFT", "cmd_ACT",
+                    "cmd_RD", "cmd_PRE"):
+            assert counts[key] == stats.get(key, 0), key
+        assert counts["cmd_MRA2"] + counts["cmd_MRA3"] > 0
+        assert counts["cmd_RD"] > 0
+
+    def test_commands_stamped_at_issue(self):
+        with observe(trace=True) as session:
+            run = run_pim("sum", "pim", mode="event", num_tuples=TUPLES)
+        cycles = [cycle for cycle, _ in session.command_log]
+        # The first command issues at cycle 0; the last completes
+        # (run.result.cycles) strictly after it issues.
+        assert cycles[0] == 0
+        assert max(cycles) < run.result.cycles
+
+    def test_untimed_mode_stamps_zero(self):
+        with observe(trace=True) as session:
+            run_pim("sum", "pim", mode="fast", num_tuples=TUPLES)
+        assert session.command_log
+        assert {cycle for cycle, _ in session.command_log} == {0}
+
+    def test_traced_quick_spec_exports_mra_and_shift(self):
+        [spec] = [spec for spec in figure_specs("pim", QUICK)
+                  if spec.params["variant"] == "pim"
+                  and spec.params["workload"] == "sum"]
+        record = execute_spec(dataclasses.replace(spec, obs="trace"))
+        names = {event["name"] for event in record.trace_events
+                 if event["cat"] == "dram-command"}
+        assert {"MRA", "SHIFT", "ACT", "RD", "PRE"} <= names

@@ -65,6 +65,23 @@ class TestRunPatternscan:
         assert "cache.l2" in snapshot.paths()
 
 
+    def test_multi_channel_row_profile_reads_the_shared_log(self):
+        with observe() as session:
+            run = run_patternscan("gathered", 8, 64,
+                                  config_overrides={"channels": 2})
+        assert run.verified
+        metrics = session.snapshot()
+        assert run.row_profile["activates"] == metrics.total("cmd_ACT", "mem.")
+        assert run.row_profile["row_hits"] == metrics.total("row_hits", "mem.")
+        assert run.row_profile["activates"] > 0
+
+    def test_tracing_session_log_holds_the_scan(self):
+        with observe(trace=True) as session:
+            run = run_patternscan("gathered", 8, 64)
+        kinds = [command.kind.value for _, command in session.command_log]
+        assert kinds.count("ACT") == run.row_profile["activates"]
+
+
 class TestPatternSweepSpecs:
     def test_covers_every_point(self):
         specs = pattern_sweep_specs(lines=64)
