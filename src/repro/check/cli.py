@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "stages", nargs="*", choices=[[], *STAGES],
-        help="run only the named stages (default: all, minus --skip-*); "
+        help="run only the named stages (default: all); "
              f"stages: {', '.join(STAGES)}",
     )
     parser.add_argument(
@@ -47,36 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="maximum operations per trace (default: 48)",
     )
     parser.add_argument(
-        "--skip-differential", action="store_true",
-        help="run only the invariant checkers",
-    )
-    parser.add_argument(
-        "--skip-invariants", action="store_true",
-        help="run only the differential sweep",
-    )
-    parser.add_argument(
-        "--skip-fastpath", action="store_true",
-        help="skip the event-vs-fast equivalence battery",
-    )
-    parser.add_argument(
-        "--skip-oracles", action="store_true",
-        help="skip the scalar-vs-vectorized oracle differential",
-    )
-    parser.add_argument(
-        "--skip-service", action="store_true",
-        help="skip the submitted-vs-direct service differential",
-    )
-    parser.add_argument(
         "--service-lines", type=int, default=64,
         help="patternscan size for the service differential (default: 64)",
-    )
-    parser.add_argument(
-        "--skip-inference", action="store_true",
-        help="skip the inference-family differential battery",
-    )
-    parser.add_argument(
-        "--skip-pim", action="store_true",
-        help="skip the in-DRAM compute (MRA/SHIFT) battery",
     )
     parser.add_argument(
         "--list-stages", action="store_true",
@@ -94,9 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     failures = 0
 
     def wants(stage: str) -> bool:
-        if args.stages:
-            return stage in args.stages
-        return not getattr(args, f"skip_{stage}")
+        return not args.stages or stage in args.stages
 
     if wants("invariants"):
         for report in run_all_invariants():

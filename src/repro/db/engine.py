@@ -56,8 +56,8 @@ def system_for(layout: StorageLayout, cores: int = 1, prefetch: bool = False,
     """A machine matched to the layout's substrate.
 
     ``mode="fast"`` builds a :class:`repro.vec.fastpath.FastSystem`
-    (same caches and DRAM module, timing-free controller) instead of
-    the event-driven :class:`System`; it raises
+    (same DRAM module and API; counters from one ``DirtyReplay``)
+    instead of the event-driven :class:`System`; it raises
     :class:`~repro.errors.ConfigError` for configurations whose
     functional behaviour depends on timing (see docs/PERFORMANCE.md).
     """
@@ -75,8 +75,8 @@ def _vectorized(layout: StorageLayout, mode: str) -> bool:
     """True when this run should use the vectorized (no-machine) engine.
 
     ``PartialGatherStore`` and other subclasses still run ``mode="fast"``
-    on :class:`~repro.vec.fastpath.FastSystem` (real hierarchy, frozen
-    clock); only the three exactly-modelled layouts skip the machine.
+    through their op streams on :class:`~repro.vec.fastpath.FastSystem`;
+    only the three exactly-modelled layouts skip the op streams.
     """
     if mode != "fast":
         return False

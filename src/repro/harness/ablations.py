@@ -28,6 +28,7 @@ from repro.db.layouts import GSDRAMStore, RowStore
 from repro.db.workload import AnalyticsQuery, TransactionMix
 from repro.db.table import OracleTable
 from repro.db.workload import make_rows
+from repro.errors import WorkloadError
 from repro.harness.common import Scale, current_scale
 from repro.cpu.isa import Load
 from repro.perf import RunSpec, run_specs
@@ -269,79 +270,31 @@ def run_channel_ablation(rows_per_stream: int = 32) -> FigureResult:
 def run_pattern_sweep(lines: int = 2048) -> FigureResult:
     """abl-6: gathered vs scalar scans for every supported stride.
 
-    The data is ``lines`` cache lines of 8-byte values. For stride
-    ``2^k`` the scan touches every ``2^k``-th value; the scalar version
-    loads through pattern 0 (one line per ``8/2^k`` useful values), the
-    gathered version uses pattern ``2^k - 1``.
+    The points are the fig7 strided-scan sweep
+    (:func:`repro.harness.patternscan.pattern_sweep_specs`): ``lines``
+    cache lines of 8-byte values; for stride ``2^k`` the scalar scan
+    loads every ``2^k``-th value through pattern 0, the gathered scan
+    uses pattern ``2^k - 1``.
     """
-    import struct
-
-    from repro.cpu.isa import Compute, Load, pattload
+    from repro.harness.patternscan import SWEEP_STRIDES, pattern_sweep_specs
 
     figure = FigureResult(
         figure="abl-6",
         description=f"Strided scans over {lines} lines: scalar vs gathered",
         x_label="stride",
     )
-    total_values = lines * 8
-
-    for k in (1, 2, 3):
-        stride = 1 << k
-        pattern = stride - 1
-        group = pattern + 1
-
-        def build_system():
-            system = System(table1_config(l2_size=64 * 1024))
-            base = system.pattmalloc(lines * 64, shuffle=True, pattern=pattern)
-            payload = struct.pack(f"<{total_values}Q", *range(total_values))
-            system.mem_write(base, payload)
-            return system, base
-
-        expected = sum(range(0, total_values, stride))
-
-        # Scalar strided scan (pattern 0).
-        system, base = build_system()
-        total = [0]
-
-        def scalar():
-            for index in range(0, total_values, stride):
-                yield Load(base + index * 8, pc=0x7000 + k,
-                           on_value=lambda b: total.__setitem__(
-                               0, total[0] + struct.unpack("<Q", b)[0]))
-                yield Compute(1)
-
-        scalar_run = system.run([scalar()])
-        if total[0] != expected:
-            raise AssertionError(f"scalar stride-{stride} scan wrong")
-
-        # Gathered scan: each gathered line holds 8 stride-spaced values.
-        system2, base2 = build_system()
-        total2 = [0]
-
-        def gathered():
-            # Gathered line columns: one per group of `group` lines; the
-            # stride-aligned families start at column multiples of the
-            # group covering 8 values each.
-            values_per_line = 8
-            gathers = total_values // (stride * values_per_line)
-            for g in range(gathers):
-                column = g * group
-                for j in range(values_per_line):
-                    yield pattload(base2 + column * 64 + j * 8,
-                                   pattern=pattern,
-                                   pc=(0x7100 if j else 0x7180) + k,
-                                   on_value=lambda b: total2.__setitem__(
-                                       0, total2[0] + struct.unpack("<Q", b)[0]))
-                    yield Compute(1)
-
-        gathered_run = system2.run([gathered()])
-        if total2[0] != expected:
-            raise AssertionError(f"gathered stride-{stride} scan wrong")
-
-        figure.add_point("scalar cycles", stride, scalar_run.cycles)
-        figure.add_point("gathered cycles", stride, gathered_run.cycles)
-        figure.add_point("scalar DRAM reads", stride, scalar_run.dram_reads)
-        figure.add_point("gathered DRAM reads", stride, gathered_run.dram_reads)
+    runs = {}
+    for run in run_specs(pattern_sweep_specs(lines)):
+        if not run.verified:
+            raise WorkloadError(f"{run.variant} stride-{run.stride} scan wrong")
+        runs[run.stride, run.variant] = run
+    for stride in SWEEP_STRIDES:
+        scalar, gathered = runs[stride, "scalar"], runs[stride, "gathered"]
+        figure.add_point("scalar cycles", stride, scalar.result.cycles)
+        figure.add_point("gathered cycles", stride, gathered.result.cycles)
+        figure.add_point("scalar DRAM reads", stride, scalar.result.dram_reads)
+        figure.add_point("gathered DRAM reads", stride,
+                         gathered.result.dram_reads)
     figure.notes.append(
         "traffic reduction equals the stride (a gathered line replaces "
         "`stride` partially-used lines); cycle gains follow"

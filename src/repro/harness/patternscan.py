@@ -8,10 +8,9 @@ row-locality profile.
 
 Two execution modes produce bit-identical functional results:
 
-- ``mode="event"`` — the full event-driven machine, exactly as
-  :func:`repro.harness.ablations.run_pattern_sweep` builds it (same
-  config, same allocation, same op stream, same PCs). Timing outputs
-  (cycles, queue delays) are meaningful.
+- ``mode="event"`` — the full event-driven machine; the abl-6 figure
+  (:func:`repro.harness.ablations.run_pattern_sweep`) is built from
+  these points. Timing outputs (cycles, queue delays) are meaningful.
 - ``mode="fast"`` — no machine at all: the access stream, the cache
   behaviour, the gathered values, and the row-buffer locality are all
   computed with the batched kernels of :mod:`repro.vec`. Timing outputs

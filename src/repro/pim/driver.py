@@ -7,7 +7,8 @@ column and verify against the same numpy oracle:
   pattloads (the paper's Figure 8 loop) and the CPU folds the values;
   exactly the existing analytics machinery, run on
   :class:`~repro.sim.System` (event) or
-  :class:`~repro.vec.fastpath.FastSystem` (fast).
+  :class:`~repro.vec.fastpath.FastSystem` (fast: values off the
+  functional module, counters from :class:`~repro.vec.hier.DirtyReplay`).
 - ``variant="pim"`` — the column is bit-sliced into per-bank row
   groups placed by :class:`~repro.mem.mapping.PIMRowGroupPolicy` and
   the aggregate is computed in-DRAM by the MRA+SHIFT programs of

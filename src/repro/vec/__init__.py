@@ -13,13 +13,14 @@ batches that math over whole ``numpy`` int64 arrays:
 - :mod:`repro.vec.replay` — a batched trace-replay cache model
   (set/tag/LRU-stamp arrays, pattern ID in the tag per Section 4.1)
   plus vectorized row-hit/bank-conflict analytics.
-- :mod:`repro.vec.fastpath` — :class:`FastSystem`, a drop-in for
-  :class:`repro.sim.System` that runs the *same* cache hierarchy with
-  an immediate (timing-free) memory controller, for workloads whose
-  functional results do not depend on timing.
 - :mod:`repro.vec.hier` — :class:`DirtyReplay`, a metadata-only replay
   of the full hierarchy + DBI + controller accounting over prepared
-  address arrays (no simulated machine, no byte movement).
+  address arrays (no simulated machine, no byte movement), and the
+  fast-path compatibility gate.
+- :mod:`repro.vec.fastpath` — :class:`FastSystem`, a drop-in for
+  :class:`repro.sim.System` for op-stream workloads whose functional
+  results do not depend on timing: values come straight from the
+  functional DRAM module, statistics from one :class:`DirtyReplay`.
 - :mod:`repro.vec.db` / :mod:`repro.vec.gemm` — phase 2: vectorized
   twins of the DB query engines (:mod:`repro.db.engine`) and the GEMM
   kernels (:mod:`repro.gemm.autotune`), dispatched via ``mode="fast"``
@@ -33,8 +34,8 @@ Equivalence with the event-driven model is enforced by
 :mod:`repro.check.fastpath` (see docs/PERFORMANCE.md).
 """
 
-from repro.vec.fastpath import FastSystem, assert_fast_compatible, fast_supported
-from repro.vec.hier import DirtyReplay
+from repro.vec.fastpath import FastSystem
+from repro.vec.hier import DirtyReplay, assert_fast_compatible, fast_supported
 from repro.vec.kernels import (
     ctl_translate,
     decompose_addresses,

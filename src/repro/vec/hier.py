@@ -1,20 +1,14 @@
-"""Metadata-only replay of the cache hierarchy for store-ful streams.
+"""Metadata-only replay of the cache hierarchy, DBI and open-row controller.
 
-:mod:`repro.vec.replay` covers read-only traces with flat tag arrays;
-:class:`repro.vec.fastpath.FastSystem` covers everything else by
-running the *real* hierarchy. Profiling the DB figures showed that the
-real hierarchy's cost is dominated by functional byte movement (the
-per-line gather/scatter ``lane_map`` in the GS module) — work that
-never affects hit/miss/coherence *accounting*. For a fast-compatible
-configuration (one blocking core, no prefetcher, single channel,
-open-row policy), every control-flow decision the hierarchy makes
-depends only on addresses, patterns, and dirty bits, never on data.
-
-:class:`DirtyReplay` therefore replays an access stream against a
-dict-based model of the two cache levels, the Dirty-Block Index, and
-the open-row controller, reproducing the exact statistic accounting of
-:class:`repro.cache.hierarchy.CacheHierarchy` +
-:class:`repro.vec.fastpath.ImmediateController`:
+For a fast-compatible configuration (one blocking in-order core, no
+prefetcher or store buffer, one channel, open-row policy; see
+:func:`assert_fast_compatible`) every control-flow decision the event
+machine's :class:`repro.cache.hierarchy.CacheHierarchy` and memory
+controller make depends only on program order, addresses, patterns and
+dirty bits, never on data or timing. :class:`DirtyReplay` replays an
+access stream against a dict-based model of the two cache levels, the
+Dirty-Block Index and the controller's per-bank open rows, reproducing
+their exact statistic accounting without moving a byte:
 
 - a cache line is the int key ``line_address | pattern`` (pattern ids
   fit below the line offset) mapped to its dirty bit;
@@ -29,9 +23,11 @@ Before the per-access loop, a numpy pass (:meth:`DirtyReplay._elided`)
 removes accesses that are provably L1 hits with no other effect and
 only counts them.
 
-Functional values are computed separately (numpy) by the callers in
-:mod:`repro.vec.db` and :mod:`repro.vec.gemm`; equivalence with the
-event machine is enforced stat-by-stat by :mod:`repro.check.fastpath`.
+Functional values are computed separately: by numpy in
+:mod:`repro.vec.db` and :mod:`repro.vec.gemm`, and line by line on the
+functional module in :class:`repro.vec.fastpath.FastSystem`.
+Equivalence with the event machine is enforced stat-by-stat by
+:mod:`repro.check.fastpath`.
 """
 
 from __future__ import annotations
@@ -39,13 +35,56 @@ from __future__ import annotations
 import numpy as np
 
 from repro.energy.model import system_energy
+from repro.errors import ConfigError
 from repro.sim.config import Mechanism, SystemConfig
 from repro.sim.results import RunResult
-from repro.vec.fastpath import assert_fast_compatible
 
 #: Component order used by the stat snapshots (matches the dict the
 #: event drivers capture for the equivalence battery).
 COMPONENTS = ("controller", "l1", "l2", "hierarchy", "dbi")
+
+
+def assert_fast_compatible(config: SystemConfig) -> None:
+    """Raise ConfigError unless the fast path is exact for ``config``.
+
+    The conditions are exactly those under which the functional
+    behaviour of the event machine is timing-independent (see module
+    docstring); anything else must run on :class:`repro.sim.System`.
+    """
+    problems = []
+    if config.cores != 1:
+        problems.append(f"cores={config.cores} (needs 1 blocking core)")
+    if config.channels != 1:
+        problems.append(f"channels={config.channels} (needs 1)")
+    if config.prefetch:
+        problems.append("prefetch=True (prefetch timing changes fills)")
+    if config.store_buffer:
+        problems.append(
+            f"store_buffer={config.store_buffer} (stores must block)"
+        )
+    if config.refresh:
+        problems.append("refresh=True (refresh closes rows by time)")
+    if not config.open_row_policy:
+        problems.append("closed-page policy (row state depends on queues)")
+    if config.auto_pattern:
+        problems.append("auto_pattern=True (detector state is timing-free "
+                        "but unvalidated on the fast path)")
+    if config.mechanism is Mechanism.IMPULSE:
+        problems.append("Impulse mechanism (controller-side gather expands "
+                        "requests)")
+    if problems:
+        raise ConfigError(
+            "configuration is not fast-path compatible: " + "; ".join(problems)
+        )
+
+
+def fast_supported(config: SystemConfig) -> bool:
+    """True when ``config`` can run on the fast path."""
+    try:
+        assert_fast_compatible(config)
+    except ConfigError:
+        return False
+    return True
 
 
 class DirtyReplay:
@@ -238,8 +277,8 @@ class DirtyReplay:
         supports = self._supports_patterns
 
         def submit(key, is_write):
-            # ImmediateController.submit: request stats, then the bank's
-            # open-row state machine, then the column command.
+            # The controller's accounting: request stats, then the
+            # bank's open-row state machine, then the column command.
             nonlocal requests, req_read, req_write, req_patt
             nonlocal row_hits, row_misses, cmd_pre, cmd_act, cmd_rd, cmd_wr
             requests += 1
@@ -402,6 +441,28 @@ class DirtyReplay:
         c["cmd_PRE"] = cmd_pre; c["cmd_ACT"] = cmd_act
         c["cmd_RD"] = cmd_rd; c["cmd_WR"] = cmd_wr
 
+    def drain_dirty(self) -> None:
+        """Mark every cached dirty line clean in the caches and the DBI.
+
+        The accounting of :meth:`CacheHierarchy.drain_dirty`, which
+        writes dirty lines back functionally before memory is read: one
+        DBI clean per line, no writeback and no controller request.
+        """
+        dbi = self._dbi
+        for cache_sets in (self._l1_sets, self._l2_sets):
+            for lines in cache_sets:
+                for key, dirty in lines.items():
+                    if not dirty:
+                        continue
+                    lines[key] = False
+                    bank, row, _ = self.coords(key)
+                    entries = dbi.get((bank, row))
+                    if entries is not None:
+                        entries.discard(key)
+                        if not entries:
+                            del dbi[(bank, row)]
+                        self.counts["dbi_cleans"] += 1
+
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
@@ -459,7 +520,7 @@ class DirtyReplay:
     def collect_result(
         self, *, instructions: int, loads: int, stores: int
     ) -> RunResult:
-        """A :class:`FastSystem`-shaped result (timing outputs zero)."""
+        """The run's :class:`RunResult`, every timing output zero."""
         c = self.counts
         l1_accesses = c["l1_hits"] + c["l1_misses"]
         l2_accesses = c["l2_hits"] + c["l2_misses"]

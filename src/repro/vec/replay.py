@@ -11,8 +11,8 @@ stamp in the set, and fills touch the inserted line.
 The model covers read-only replay (no dirty state): that is the shape
 of the figure-7 pattern scans and the Section 5.3 app sweeps the fast
 path serves. Workloads with stores go through
-:class:`repro.vec.fastpath.FastSystem`, which reuses the real
-hierarchy instead.
+:class:`repro.vec.hier.DirtyReplay`, which models dirty state and the
+DBI.
 """
 
 from __future__ import annotations

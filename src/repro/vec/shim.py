@@ -69,7 +69,8 @@ def machine_shim(
         tracer=None,
     )
     return AttrBag(
-        cores=[AttrBag(core_id=0, stats=stat_group("core0", core_counts))],
+        cores=[AttrBag(core_id=0, stats=stat_group("core0", core_counts),
+                       finish_time=0)],
         hierarchy=hierarchy,
         controller=AttrBag(
             stats=stat_group("memory_controller", controller_counts),

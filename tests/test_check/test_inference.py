@@ -26,10 +26,6 @@ class TestCLI:
         args = build_parser().parse_args(["inference"])
         assert args.stages == ["inference"]
 
-    def test_skip_flag_parses(self):
-        args = build_parser().parse_args(["--skip-inference"])
-        assert args.skip_inference and not args.stages
-
     def test_positional_stage_runs_only_inference(self, capsys):
         assert main(["inference"]) == 0
         out = capsys.readouterr().out

@@ -51,8 +51,3 @@ class TestCLIWiring:
         assert "pim" in out
         assert "invariants" in out
 
-    def test_skip_flag_exists(self):
-        from repro.check.cli import build_parser
-
-        args = build_parser().parse_args(["--skip-pim"])
-        assert args.skip_pim

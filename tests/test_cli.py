@@ -5,6 +5,7 @@ import pathlib
 import pytest
 
 from repro.__main__ import main
+from repro.check.cli import STAGES
 
 
 class TestCLI:
@@ -29,9 +30,13 @@ class TestCLI:
             main(["figures", "--scale", "gigantic"])
 
 
+#: Every check stage but the invariant battery, selected positionally.
+EXCEPT_INVARIANTS = [s for s in STAGES if s != "invariants"]
+
+
 class TestCheckCommand:
     def test_clean_sweep_exits_zero(self, capsys):
-        code = main(["check", "--skip-invariants", "--traces", "2"])
+        code = main(["check", *EXCEPT_INVARIANTS, "--traces", "2"])
         captured = capsys.readouterr()
         assert code == 0
         assert "all checks passed" in captured.out
@@ -46,7 +51,7 @@ class TestCheckCommand:
             return result ^ 1 if (is_column_command and pattern) else result
 
         monkeypatch.setattr(ColumnTranslationLogic, "translate", corrupted)
-        code = main(["check", "--skip-invariants", "--traces", "4"])
+        code = main(["check", *EXCEPT_INVARIANTS, "--traces", "4"])
         captured = capsys.readouterr()
         assert code == 1
         assert "FAILED" in captured.out
@@ -58,4 +63,5 @@ class TestCheckCommand:
     def test_console_script_entry_point(self, capsys):
         from repro.check.cli import main as check_main
 
-        assert check_main(["--skip-differential", "--skip-invariants"]) == 0
+        stages = [s for s in EXCEPT_INVARIANTS if s != "differential"]
+        assert check_main(stages) == 0

@@ -8,7 +8,8 @@ from repro.errors import ConfigError
 from repro.obs import observe
 from repro.sim.config import Mechanism, impulse_config, table1_config
 from repro.sim.system import System
-from repro.vec.fastpath import FastSystem, assert_fast_compatible, fast_supported
+from repro.vec.fastpath import FastSystem
+from repro.vec.hier import assert_fast_compatible, fast_supported
 
 SMALL = dict(l1_size=1024, l1_assoc=2, l2_size=4096, l2_assoc=4)
 
@@ -118,3 +119,23 @@ class TestObservability:
         )
         assert "cache.l1.core0" in snapshot.paths()
         assert "mem.controller.queue_delay" in snapshot.histograms
+
+    def test_snapshot_matches_event_after_readback(self):
+        """Registry counters equal the event machine's, including the
+        DBI cleans that ``mem_read``'s drain of dirty lines adds."""
+        config = table1_config(**SMALL)
+
+        def snapshot(system_cls):
+            with observe() as session:
+                system = system_cls(config)
+                base = system.pattmalloc(4096, shuffle=True, pattern=7)
+                system.run([[Store(base + i * 64, b"\x01" * 8)
+                             for i in range(24)]])
+                system.mem_read(base, 4096)
+                return session.snapshot()
+
+        event, fast = snapshot(System), snapshot(FastSystem)
+        assert fast.get("cache.dbi", "cleans") > 0
+        for path in ("cache.l1.core0", "cache.l2", "cache.hierarchy",
+                     "cache.dbi", "mem.controller"):
+            assert fast.counters.get(path) == event.counters.get(path), path
