@@ -34,12 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cpu.isa import Compute, Load, pattload
-from repro.energy.model import system_energy
 from repro.errors import ConfigError, WorkloadError
 from repro.obs.session import current_session
 from repro.perf.specs import RunSpec
 from repro.sim.config import SystemConfig, table1_config
-from repro.sim.results import RunResult, StageTimer
+from repro.sim.results import RunResult, StageTimer, collect_result
 from repro.sim.system import System
 from repro.utils.bitops import is_power_of_two
 from repro.vec.kernels import decompose_addresses, gather_addresses_batch
@@ -327,58 +326,42 @@ def _run_fast(
         expected = sum(range(0, total_values, stride))
         digest = hashlib.sha256(values.astype("<u8").tobytes()).hexdigest()
 
-    energy = system_energy(
-        runtime_cycles=0,
-        instructions=2 * accesses,
-        l1_accesses=accesses,
-        l2_accesses=l1_misses,
-        command_counts={
+    def cache_counts(cache: ReplayCache, hits: int, misses: int) -> dict:
+        # Fills == misses; evictions are fills that displaced a line.
+        return {
+            "hits": hits,
+            "misses": misses,
+            "fills": misses,
+            "evictions": max(0, misses - int((cache.tags != -1).sum())),
+        }
+
+    # L1 fills come from both L2 hits and L2 misses; only L2 misses
+    # fill L2 itself. Every L2 miss is one DRAM read.
+    machine = machine_shim(
+        config,
+        core_counts={
+            "instructions": 2 * accesses,
+            "loads": accesses,
+            "misses_blocked": l2_misses,
+            "finished": 1,
+        },
+        l1_counts=cache_counts(l1, l1_hits, l1_misses),
+        l2_counts=cache_counts(l2, l2_hits, l2_misses),
+        controller_counts={
+            "requests": l2_misses,
+            "requests_read": l2_misses,
+            "requests_patterned": l2_misses if variant == "gathered" else 0,
             "cmd_RD": l2_misses,
             "cmd_ACT": profile.activates,
             "cmd_PRE": profile.precharges,
-        },
-        cores=1,
-        cpu_ghz=config.cpu_ghz,
-    )
-    result = RunResult(
-        mechanism=config.mechanism.value,
-        cycles=0,
-        instructions=2 * accesses,
-        loads=accesses,
-        stores=0,
-        l1_hits=l1_hits,
-        l1_misses=l1_misses,
-        l2_hits=l2_hits,
-        l2_misses=l2_misses,
-        dram_reads=l2_misses,
-        dram_writes=0,
-        row_hits=profile.row_hits,
-        row_misses=profile.row_misses,
-        prefetches=0,
-        coherence_invalidations=0,
-        writebacks=0,
-        energy=energy,
-        extra={
-            "engine_events": 0.0,
-            "mean_memory_queue_delay": 0.0,
-            "auto_gathers": 0.0,
-            "stores_overlapped": 0.0,
-            "mshr_merges": 0.0,
-            "snoop_flushes": 0.0,
-            "fast_path": 1.0,
+            "row_hits": profile.row_hits,
+            "row_misses": profile.row_misses,
         },
     )
-
-    timer.attach(result)
     session = current_session()
     if session is not None:
-        session.attach(
-            _snapshot_shim(
-                config, result,
-                patterned_reads=l2_misses if variant == "gathered" else 0,
-                l1_cache=l1, l2_cache=l2, profile=profile,
-            )
-        )
+        session.attach(machine)
+    result = timer.attach(collect_result(machine))
 
     return PatternScanRun(
         variant=variant,
@@ -391,54 +374,4 @@ def _run_fast(
         verified=answer == expected,
         values_digest=digest,
         row_profile=profile.as_dict(),
-    )
-
-
-def _snapshot_shim(
-    config: SystemConfig,
-    result: RunResult,
-    patterned_reads: int,
-    l1_cache: ReplayCache,
-    l2_cache: ReplayCache,
-    profile,
-):
-    """A registry-attachable stand-in for the machine a fast scan skips.
-
-    Fast-path runs must still emit metrics snapshots; the count dicts
-    here feed :func:`repro.vec.shim.machine_shim`, which exposes the
-    component shape ``ObsSession.attach`` walks under the same stat
-    names the real components use.
-    """
-
-    def cache_counts(cache: ReplayCache, hits: int, misses: int) -> dict:
-        # Fills == misses; evictions are fills that displaced a line.
-        return {
-            "hits": hits,
-            "misses": misses,
-            "fills": misses,
-            "evictions": max(0, misses - int((cache.tags != -1).sum())),
-        }
-
-    return machine_shim(
-        config,
-        core_counts={
-            "instructions": result.instructions,
-            "loads": result.loads,
-            "misses_blocked": result.l2_misses,
-            "finished": 1,
-        },
-        # L1 fills come from both L2 hits and L2 misses; only L2 misses
-        # fill L2 itself.
-        l1_counts=cache_counts(l1_cache, result.l1_hits, result.l1_misses),
-        l2_counts=cache_counts(l2_cache, result.l2_hits, result.l2_misses),
-        controller_counts={
-            "requests": result.dram_reads,
-            "requests_read": result.dram_reads,
-            "requests_patterned": patterned_reads,
-            "cmd_RD": result.dram_reads,
-            "cmd_ACT": profile.activates,
-            "cmd_PRE": profile.precharges,
-            "row_hits": profile.row_hits,
-            "row_misses": profile.row_misses,
-        },
     )

@@ -198,6 +198,11 @@ def _run_pim_variant(workload, mode, num_tuples, field_id, seed,
     # The CPU's only timed contribution is folding the per-chunk
     # partials; everything else happened inside the chips.
     instructions = len(chunks)
+    reads = counts.get("cmd_RD", 0)
+    activates = counts.get("cmd_ACT", 0)
+    # Each readback opens its row with one ACT: the first READ misses
+    # the row, the rest hit it.
+    rows = {"row_hits": reads - activates, "row_misses": activates}
     energy = system_energy(
         runtime_cycles=cycles,
         instructions=instructions,
@@ -211,16 +216,15 @@ def _run_pim_variant(workload, mode, num_tuples, field_id, seed,
         mechanism="pim",
         cycles=cycles,
         instructions=instructions,
-        loads=counts.get("cmd_RD", 0),
+        loads=reads,
         stores=0,
         l1_hits=0,
         l1_misses=0,
         l2_hits=0,
         l2_misses=0,
-        dram_reads=counts.get("cmd_RD", 0),
+        dram_reads=reads,
         dram_writes=counts.get("cmd_WR", 0),
-        row_hits=counts.get("cmd_RD", 0),
-        row_misses=counts.get("cmd_ACT", 0),
+        **rows,
         prefetches=0,
         coherence_invalidations=0,
         writebacks=0,
@@ -240,8 +244,8 @@ def _run_pim_variant(workload, mode, num_tuples, field_id, seed,
     if session is not None:
         session.attach(machine_shim(
             config,
-            core_counts={"instructions": instructions},
-            controller_counts=counts,
+            core_counts={"instructions": instructions, "loads": reads},
+            controller_counts={**counts, **rows},
         ))
     stats = {"pim": counts}
     return result, total, digest.hexdigest(), verified, threshold, stats

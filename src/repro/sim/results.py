@@ -6,7 +6,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.energy.model import EnergyBreakdown
+from repro.energy.model import EnergyBreakdown, system_energy
 
 
 @dataclass
@@ -89,6 +89,73 @@ class RunResult:
             f"(row-hit {self.row_hit_rate:.1%}), "
             f"energy={self.energy.total_mj:.3f} mJ"
         )
+
+
+def collect_result(machine) -> RunResult:
+    """A finished run's :class:`RunResult` and energy, from its stat groups.
+
+    ``machine`` is any component tree shaped like
+    :class:`repro.sim.System` (``cores``, ``hierarchy``, ``controller``,
+    ``engine``, ``config``): the event machine itself, or the
+    :func:`repro.vec.shim.machine_shim` a fast run fills. A shim marks
+    itself ``fast``, which the result records as ``extra["fast_path"]``.
+    """
+    engine = machine.engine
+    cores = machine.cores
+    hierarchy = machine.hierarchy
+    controller = machine.controller
+    config = machine.config
+    cycles = max(
+        [core.finish_time or engine.now for core in cores], default=engine.now
+    )
+
+    def core_total(name: str) -> int:
+        return sum(core.stats.get(name) for core in cores)
+
+    instructions = core_total("instructions")
+    l1_hits = sum(l1.stats.get("hits") for l1 in hierarchy.l1s)
+    l1_misses = sum(l1.stats.get("misses") for l1 in hierarchy.l1s)
+    l2 = hierarchy.l2.stats
+    mc = controller.stats
+    energy = system_energy(
+        runtime_cycles=cycles,
+        instructions=instructions,
+        l1_accesses=l1_hits + l1_misses,
+        l2_accesses=l2.get("hits") + l2.get("misses"),
+        command_counts=mc.as_dict(),
+        cores=config.cores,
+        cpu_ghz=config.cpu_ghz,
+    )
+    extra = {
+        "engine_events": float(engine.events_processed),
+        "mean_memory_queue_delay": controller.queue_delay.mean,
+        "auto_gathers": float(core_total("auto_gathers")),
+        "stores_overlapped": float(core_total("stores_overlapped")),
+        "mshr_merges": float(hierarchy.stats.get("mshr_merges")),
+        "snoop_flushes": float(hierarchy.stats.get("snoop_flushes")),
+    }
+    if getattr(machine, "fast", False):
+        extra["fast_path"] = 1.0
+    return RunResult(
+        mechanism=config.mechanism.value,
+        cycles=cycles,
+        instructions=instructions,
+        loads=core_total("loads"),
+        stores=core_total("stores"),
+        l1_hits=l1_hits,
+        l1_misses=l1_misses,
+        l2_hits=l2.get("hits"),
+        l2_misses=l2.get("misses"),
+        dram_reads=mc.get("cmd_RD"),
+        dram_writes=mc.get("cmd_WR"),
+        row_hits=mc.get("row_hits"),
+        row_misses=mc.get("row_misses"),
+        prefetches=hierarchy.stats.get("prefetches_issued"),
+        coherence_invalidations=hierarchy.stats.get("coherence_invalidations"),
+        writebacks=hierarchy.stats.get("writebacks"),
+        energy=energy,
+        extra=extra,
+    )
 
 
 #: Canonical stage names, in pipeline order.

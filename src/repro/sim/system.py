@@ -17,7 +17,6 @@ from repro.core.shuffle import LSBShuffle, NoShuffle
 from repro.cpu.autopattern import AutoPatternUnit
 from repro.cpu.core import Core
 from repro.dram.module import DRAMModule
-from repro.energy.model import system_energy
 from repro.errors import SimulationError
 from repro.mem.channels import MultiChannelController, MultiChannelModule
 from repro.mem.controller import MemoryController
@@ -26,7 +25,7 @@ from repro.mem.mapping import StaticPatternPolicy
 from repro.mem.schedulers import FCFS, FRFCFS, Scheduler
 from repro.obs.session import current_session
 from repro.sim.config import Mechanism, SchedulerKind, SystemConfig
-from repro.sim.results import RunResult
+from repro.sim.results import RunResult, collect_result
 from repro.utils.events import Engine
 
 
@@ -264,61 +263,4 @@ class System:
         for core, program in zip(self.cores, programs):
             core.run(program, on_done=on_done)
         self.engine.run(max_events=max_events)
-        return self.collect_result()
-
-    def collect_result(self) -> RunResult:
-        """Snapshot stats + energy after a run."""
-        cycles = max(
-            [core.finish_time or self.engine.now for core in self.cores],
-            default=self.engine.now,
-        )
-        instructions = sum(c.stats.get("instructions") for c in self.cores)
-        loads = sum(c.stats.get("loads") for c in self.cores)
-        stores = sum(c.stats.get("stores") for c in self.cores)
-        l1_hits = sum(l1.stats.get("hits") for l1 in self.hierarchy.l1s)
-        l1_misses = sum(l1.stats.get("misses") for l1 in self.hierarchy.l1s)
-        mc = self.controller.stats
-        energy = system_energy(
-            runtime_cycles=cycles,
-            instructions=instructions,
-            l1_accesses=l1_hits + l1_misses,
-            l2_accesses=self.hierarchy.l2.stats.get("hits")
-            + self.hierarchy.l2.stats.get("misses"),
-            command_counts=mc.as_dict(),
-            cores=self.config.cores,
-            cpu_ghz=self.config.cpu_ghz,
-        )
-        extra = {
-            "engine_events": float(self.engine.events_processed),
-            "mean_memory_queue_delay": self.controller.queue_delay.mean,
-            "auto_gathers": float(
-                sum(c.stats.get("auto_gathers") for c in self.cores)
-            ),
-            "stores_overlapped": float(
-                sum(c.stats.get("stores_overlapped") for c in self.cores)
-            ),
-            "mshr_merges": float(self.hierarchy.stats.get("mshr_merges")),
-            "snoop_flushes": float(self.hierarchy.stats.get("snoop_flushes")),
-        }
-        return RunResult(
-            mechanism=self.config.mechanism.value,
-            cycles=cycles,
-            instructions=instructions,
-            loads=loads,
-            stores=stores,
-            l1_hits=l1_hits,
-            l1_misses=l1_misses,
-            l2_hits=self.hierarchy.l2.stats.get("hits"),
-            l2_misses=self.hierarchy.l2.stats.get("misses"),
-            dram_reads=mc.get("cmd_RD"),
-            dram_writes=mc.get("cmd_WR"),
-            row_hits=mc.get("row_hits"),
-            row_misses=mc.get("row_misses"),
-            prefetches=self.hierarchy.stats.get("prefetches_issued"),
-            coherence_invalidations=self.hierarchy.stats.get(
-                "coherence_invalidations"
-            ),
-            writebacks=self.hierarchy.stats.get("writebacks"),
-            energy=energy,
-            extra=extra,
-        )
+        return collect_result(self)

@@ -45,10 +45,10 @@ from repro.dram.address import MappingPolicy
 from repro.errors import WorkloadError
 from repro.obs.session import current_session
 from repro.sim.config import Mechanism, SystemConfig
-from repro.sim.results import RunResult
+from repro.sim.results import RunResult, collect_result
 from repro.vec.hier import DirtyReplay
 from repro.vec.kernels import gather_addresses_batch
-from repro.vec.shim import machine_shim
+from repro.vec.shim import component_snapshot, set_counts
 from repro.vm.pattmalloc import PattAllocator
 
 _EXACT_LAYOUTS = (RowStore, ColumnStore, GSDRAMStore)
@@ -334,29 +334,24 @@ def _analytics_stream(
     return lines, patterns, answer
 
 
-def _attach_session(config: SystemConfig, replay: DirtyReplay,
-                    result: RunResult) -> None:
+def replay_record(replay: DirtyReplay, *, instructions: int, loads: int,
+                  stores: int) -> tuple[RunResult, dict]:
+    """The result and component stats of a finished one-core replay.
+
+    Sets the core's counts on the replay's machine shim, publishes the
+    replay's counters into it, hands it to an active observability
+    session, and reads both records from that one shim.
+    """
+    machine = replay.machine
+    set_counts(machine.cores[0].stats, {
+        "instructions": instructions, "loads": loads, "stores": stores,
+        "finished": 1,
+    })
+    replay.publish()
     session = current_session()
-    if session is None:
-        return
-    stats = replay.component_stats()
-    session.attach(
-        machine_shim(
-            config,
-            core_counts={
-                "instructions": result.instructions,
-                "loads": result.loads,
-                "stores": result.stores,
-                "misses_blocked": result.l2_misses,
-                "finished": 1,
-            },
-            l1_counts=stats["l1"],
-            l2_counts=stats["l2"],
-            hierarchy_counts=stats["hierarchy"],
-            dbi_counts=stats["dbi"],
-            controller_counts=stats["controller"],
-        )
-    )
+    if session is not None:
+        session.attach(machine)
+    return collect_result(machine), component_snapshot(machine)
 
 
 def fast_transactions(
@@ -381,13 +376,12 @@ def fast_transactions(
         TXN_OVERHEAD_CYCLES * len(txns)
         + (FIELD_COMPUTE_CYCLES + 1) * int(writes.size)
     )
-    result = replay.collect_result(
-        instructions=instructions, loads=loads, stores=stores
+    result, stats = replay_record(
+        replay, instructions=instructions, loads=loads, stores=stores
     )
-    _attach_session(config, replay, result)
     return FastDbOutcome(
         result=result,
-        component_stats=replay.component_stats(),
+        component_stats=stats,
         observed=observed,
         final_rows=final_flat.reshape(num_tuples, table.schema.num_fields),
     )
@@ -407,13 +401,12 @@ def fast_analytics(
     replay.run(lines, patterns, patterns, np.zeros(lines.size, dtype=bool))
     total_values = int(lines.size)
     instructions = (1 + SCAN_COMPUTE_CYCLES) * total_values
-    result = replay.collect_result(
-        instructions=instructions, loads=total_values, stores=0
+    result, stats = replay_record(
+        replay, instructions=instructions, loads=total_values, stores=0
     )
-    _attach_session(config, replay, result)
     return FastDbOutcome(
         result=result,
-        component_stats=replay.component_stats(),
+        component_stats=stats,
         answer=answer,
     )
 
@@ -458,13 +451,12 @@ def fast_htap_phased(
         + (FIELD_COMPUTE_CYCLES + 1) * txn_ops
         + (1 + SCAN_COMPUTE_CYCLES) * scan_count
     )
-    result = replay.collect_result(
-        instructions=instructions, loads=loads, stores=stores
+    result, stats = replay_record(
+        replay, instructions=instructions, loads=loads, stores=stores
     )
-    _attach_session(config, replay, result)
     return FastDbOutcome(
         result=result,
-        component_stats=replay.component_stats(),
+        component_stats=stats,
         answer=scan[2],
         final_rows=final_flat.reshape(num_tuples, table.schema.num_fields),
     )

@@ -20,12 +20,14 @@ run in two:
   machine's caches return, and memory is always current.
 - **statistics** — the run's translated ``(line, pattern, alt, write)``
   stream replays once through :class:`repro.vec.hier.DirtyReplay`,
-  which yields the cache, DBI and controller counters and the
-  :class:`RunResult`. Timing outputs (cycles, queue delays) are zero.
+  which publishes the cache, DBI and controller counters into its
+  :func:`repro.vec.shim.machine_shim` after every run and memory
+  readback. Timing outputs (cycles, queue delays) are zero.
 
-Observability sessions see the counters through one
-:func:`repro.vec.shim.machine_shim`, refreshed after every run and
-memory readback. Equivalence is verified, not assumed:
+The :class:`RunResult` is :func:`repro.sim.results.collect_result` of
+that shim, and observability sessions register the same shim, so a
+fast run's result and its registry view are the same counters.
+Equivalence is verified, not assumed:
 :mod:`repro.check.fastpath` diffs fast and event runs of random traces
 end to end.
 """
@@ -39,10 +41,9 @@ from repro.errors import CoherenceError, SimulationError
 from repro.mem.mapping import StaticPatternPolicy
 from repro.obs.session import current_session
 from repro.sim.config import SystemConfig
-from repro.sim.results import RunResult
+from repro.sim.results import RunResult, collect_result
 from repro.sim.system import read_memory, write_memory
 from repro.vec.hier import DirtyReplay
-from repro.vec.shim import machine_shim
 
 
 class FastSystem:
@@ -50,10 +51,11 @@ class FastSystem:
 
     Same allocation/memory/run API; every run completes during
     ``run()`` itself with all timing outputs zero. ``cores``,
-    ``hierarchy`` and ``controller`` are the stat-only
-    components of a :func:`~repro.vec.shim.machine_shim`, so
-    observability sessions and :func:`~repro.vec.shim.component_snapshot`
-    read a fast system exactly like an event one.
+    ``hierarchy`` and ``controller`` are the stat-only components of
+    the replay's :attr:`~repro.vec.hier.DirtyReplay.machine`, so
+    :func:`~repro.sim.results.collect_result`, observability sessions
+    and :func:`~repro.vec.shim.component_snapshot` read a fast system
+    exactly like an event one.
     """
 
     def __init__(self, config: SystemConfig, mapping_policy=None) -> None:
@@ -66,7 +68,7 @@ class FastSystem:
         self.mapping_policy = policy_cls(self.module)
         self.page_table = self.mapping_policy.page_table
         self.allocator = self.mapping_policy.allocator
-        machine = machine_shim(config, core_counts={})
+        machine = self.replay.machine
         self.cores = machine.cores
         self.hierarchy = machine.hierarchy
         self.controller = machine.controller
@@ -88,7 +90,7 @@ class FastSystem:
 
     def mem_read(self, address: int, length: int) -> bytes:
         self.replay.drain_dirty()
-        self._publish()
+        self.replay.publish()
         return read_memory(self.module, self.page_table, address, length)
 
     # ------------------------------------------------------------------
@@ -106,13 +108,8 @@ class FastSystem:
             )
         for program in programs:
             self._execute(program)
-        self._publish()
-        stats = self.cores[0].stats
-        return self.replay.collect_result(
-            instructions=stats.get("instructions"),
-            loads=stats.get("loads"),
-            stores=stats.get("stores"),
-        )
+        self.replay.publish()
+        return collect_result(self.replay.machine)
 
     def _execute(self, ops: Iterable) -> None:
         """Run one op stream: values now, statistics in one replay."""
@@ -158,24 +155,5 @@ class FastSystem:
             patterns.append(pattern)
             alts.append(alt_pattern)
             writes.append(is_write)
-        misses = self.replay.counts["l2_misses"]
         self.replay.run(lines, patterns, alts, writes)
-        # Every demand L2 miss blocks the core until its fill returns.
-        blocked = self.replay.counts["l2_misses"] - misses
-        if blocked:
-            counters["misses_blocked"] += blocked
         counters["finished"] += 1
-
-    def _publish(self) -> None:
-        """Copy the replay's counters into the shim's stat groups."""
-        stats = self.replay.component_stats()
-        hierarchy = self.hierarchy
-        for group, counts in (
-            (self.controller.stats, stats["controller"]),
-            (hierarchy.l1s[0].stats, stats["l1"]),
-            (hierarchy.l2.stats, stats["l2"]),
-            (hierarchy.stats, stats["hierarchy"]),
-            (hierarchy.dbi.stats, stats["dbi"]),
-        ):
-            group.counters.clear()
-            group.counters.update(counts)

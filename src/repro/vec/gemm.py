@@ -26,7 +26,7 @@ from repro.gemm.autotune import GEMM_CACHE_OVERRIDES, GemmRun
 from repro.gemm.matrix import BLOCK, ELEM, random_matrix
 from repro.sim.config import SystemConfig, plain_dram_config, table1_config
 from repro.sim.results import StageTimer
-from repro.vec.db import _attach_session
+from repro.vec.db import replay_record
 from repro.vec.hier import DirtyReplay
 from repro.vec.kernels import gather_addresses_batch
 from repro.vm.pattmalloc import PattAllocator
@@ -80,11 +80,9 @@ def _blocked_storage(b_vals: np.ndarray, n: int) -> np.ndarray:
 def _replay(config, lines, patterns, writes, *, instructions, loads, stores):
     replay = DirtyReplay(config)
     replay.run(lines, patterns, patterns, writes)
-    result = replay.collect_result(
-        instructions=instructions, loads=loads, stores=stores
+    return replay_record(
+        replay, instructions=instructions, loads=loads, stores=stores
     )
-    _attach_session(config, replay, result)
-    return result, replay.component_stats()
 
 
 def fast_naive(n: int, seed: int = 3, overrides: dict | None = None) -> GemmRun:

@@ -23,6 +23,12 @@ Before the per-access loop, a numpy pass (:meth:`DirtyReplay._elided`)
 removes accesses that are provably L1 hits with no other effect and
 only counts them.
 
+The replay owns one :func:`repro.vec.shim.machine_shim`
+(:attr:`DirtyReplay.machine`); :meth:`DirtyReplay.publish` writes the
+counters into its stat groups, and the run's
+:class:`~repro.sim.results.RunResult`, its observability snapshot and
+its component stats are all read from that one shim.
+
 Functional values are computed separately: by numpy in
 :mod:`repro.vec.db` and :mod:`repro.vec.gemm`, and line by line on the
 functional module in :class:`repro.vec.fastpath.FastSystem`.
@@ -34,14 +40,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.energy.model import system_energy
 from repro.errors import ConfigError
 from repro.sim.config import Mechanism, SystemConfig
-from repro.sim.results import RunResult
+from repro.vec.shim import machine_shim, set_counts
 
-#: Component order used by the stat snapshots (matches the dict the
-#: event drivers capture for the equivalence battery).
-COMPONENTS = ("controller", "l1", "l2", "hierarchy", "dbi")
+_CACHE_STATS = (
+    "hits", "misses", "fills", "evictions", "dirty_evictions", "invalidations",
+)
+
+#: ``(counts key prefix, stat names)`` of the controller, L1, L2,
+#: hierarchy and DBI stat groups :meth:`DirtyReplay.publish` fills.
+_PUBLISHED = (
+    ("", ("requests", "requests_read", "requests_write", "requests_patterned",
+          "row_hits", "row_misses", "cmd_PRE", "cmd_ACT", "cmd_RD", "cmd_WR")),
+    ("l1_", _CACHE_STATS),
+    ("l2_", _CACHE_STATS),
+    ("", ("writebacks", "coherence_invalidations", "coherence_flushes",
+          "prefetch_flushes")),
+    ("dbi_", ("marks", "cleans", "overlap_queries")),
+)
 
 
 def assert_fast_compatible(config: SystemConfig) -> None:
@@ -137,6 +154,9 @@ class DirtyReplay:
             "requests_patterned": 0, "row_hits": 0, "row_misses": 0,
             "cmd_PRE": 0, "cmd_ACT": 0, "cmd_RD": 0, "cmd_WR": 0,
         }
+        #: The stat-only machine :meth:`publish` fills; results and
+        #: observability read the replay through it.
+        self.machine = machine_shim(config, core_counts={})
 
     # ------------------------------------------------------------------
     def coords(self, key: int) -> tuple[int, int, int]:
@@ -463,112 +483,22 @@ class DirtyReplay:
                             del dbi[(bank, row)]
                         self.counts["dbi_cleans"] += 1
 
-    # ------------------------------------------------------------------
-    # Snapshots
-    # ------------------------------------------------------------------
-    def _nonzero(self, pairs) -> dict:
-        return {name: value for name, value in pairs if value}
+    def publish(self) -> None:
+        """Write the counters into the stat groups of :attr:`machine`.
 
-    def controller_stats(self) -> dict:
+        The controller, cache, hierarchy and DBI groups are replaced
+        wholesale; the core keeps the instruction counts its driver set
+        and gets ``misses_blocked``: every demand L2 miss blocks the one
+        core until its fill returns.
+        """
         c = self.counts
-        return self._nonzero(
-            (name, c[name])
-            for name in (
-                "requests", "requests_read", "requests_write",
-                "requests_patterned", "row_hits", "row_misses",
-                "cmd_PRE", "cmd_ACT", "cmd_RD", "cmd_WR",
-            )
+        machine = self.machine
+        hierarchy = machine.hierarchy
+        groups = (
+            machine.controller.stats, hierarchy.l1s[0].stats,
+            hierarchy.l2.stats, hierarchy.stats, hierarchy.dbi.stats,
         )
-
-    def _cache_stats(self, level: str) -> dict:
-        c = self.counts
-        return self._nonzero(
-            (name, c[f"{level}_{name}"])
-            for name in (
-                "hits", "misses", "fills", "evictions",
-                "dirty_evictions", "invalidations",
-            )
-        )
-
-    def hierarchy_stats(self) -> dict:
-        c = self.counts
-        return self._nonzero(
-            (name, c[name])
-            for name in (
-                "writebacks", "coherence_invalidations",
-                "coherence_flushes", "prefetch_flushes",
-            )
-        )
-
-    def dbi_stats(self) -> dict:
-        c = self.counts
-        return self._nonzero(
-            (("marks", c["dbi_marks"]), ("cleans", c["dbi_cleans"]),
-             ("overlap_queries", c["dbi_overlap_queries"]))
-        )
-
-    def component_stats(self) -> dict:
-        """The per-component stat dicts the equivalence battery diffs."""
-        return {
-            "controller": self.controller_stats(),
-            "l1": self._cache_stats("l1"),
-            "l2": self._cache_stats("l2"),
-            "hierarchy": self.hierarchy_stats(),
-            "dbi": self.dbi_stats(),
-        }
-
-    def collect_result(
-        self, *, instructions: int, loads: int, stores: int
-    ) -> RunResult:
-        """The run's :class:`RunResult`, every timing output zero."""
-        c = self.counts
-        l1_accesses = c["l1_hits"] + c["l1_misses"]
-        l2_accesses = c["l2_hits"] + c["l2_misses"]
-        command_counts = {
-            name: c[name]
-            for name in (
-                "requests", "requests_read", "requests_write",
-                "requests_patterned", "row_hits", "row_misses",
-                "cmd_PRE", "cmd_ACT", "cmd_RD", "cmd_WR",
-            )
-            if c[name]
-        }
-        energy = system_energy(
-            runtime_cycles=0,
-            instructions=instructions,
-            l1_accesses=l1_accesses,
-            l2_accesses=l2_accesses,
-            command_counts=command_counts,
-            cores=self.config.cores,
-            cpu_ghz=self.config.cpu_ghz,
-        )
-        extra = {
-            "engine_events": 0.0,
-            "mean_memory_queue_delay": 0.0,
-            "auto_gathers": 0.0,
-            "stores_overlapped": 0.0,
-            "mshr_merges": 0.0,
-            "snoop_flushes": 0.0,
-            "fast_path": 1.0,
-        }
-        return RunResult(
-            mechanism=self.config.mechanism.value,
-            cycles=0,
-            instructions=instructions,
-            loads=loads,
-            stores=stores,
-            l1_hits=c["l1_hits"],
-            l1_misses=c["l1_misses"],
-            l2_hits=c["l2_hits"],
-            l2_misses=c["l2_misses"],
-            dram_reads=c["cmd_RD"],
-            dram_writes=c["cmd_WR"],
-            row_hits=c["row_hits"],
-            row_misses=c["row_misses"],
-            prefetches=0,
-            coherence_invalidations=c["coherence_invalidations"],
-            writebacks=c["writebacks"],
-            energy=energy,
-            extra=extra,
-        )
-
+        for stats, (prefix, names) in zip(groups, _PUBLISHED):
+            set_counts(stats, {name: c[prefix + name] for name in names})
+        if c["l2_misses"]:
+            machine.cores[0].stats.counters["misses_blocked"] = c["l2_misses"]

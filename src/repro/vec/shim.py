@@ -1,25 +1,26 @@
-"""Observability stand-ins for machines the fast paths never build.
+"""The machine a fast run fills in place of the one it never builds.
 
 Fast-path drivers compute results with batched kernels instead of
-running a :class:`~repro.sim.System`, but they still have to emit
-metrics snapshots when an observability session is active and to hand
-the equivalence battery the same per-component stat dicts the event
-drivers capture. This module holds the two shared pieces:
+running a :class:`~repro.sim.System`. Each fills one
+:func:`machine_shim` with its counts instead: a duck-typed component
+tree shaped exactly like the machine (cores, hierarchy with L1s/L2/DBI,
+controller, engine, config), whose stat groups carry the counts under
+the names the real components use. Everything downstream reads that
+one tree, the same way it reads an event machine:
 
-- :func:`machine_shim` — a duck-typed component tree shaped exactly
-  like the machine :meth:`repro.obs.session.ObsSession.attach` walks
-  (cores, hierarchy with L1s/L2/DBI, controller, engine), populated
-  from plain ``{stat: count}`` dicts.
-- :func:`component_snapshot` — the event-side mirror: capture the five
-  per-component stat dicts (controller, l1, l2, hierarchy, dbi) from a
-  real single-core system, in the exact shape
-  :meth:`repro.vec.hier.DirtyReplay.component_stats` produces, so
-  :mod:`repro.check.fastpath` can diff them key by key.
+- :func:`repro.sim.results.collect_result` reads the run's
+  :class:`~repro.sim.results.RunResult` and energy from it;
+- :meth:`repro.obs.session.ObsSession.attach` registers its stat
+  groups, so a fast run's registry view and its result are the same
+  counters;
+- :func:`component_snapshot` captures the five per-component stat
+  dicts (controller, l1, l2, hierarchy, dbi) that
+  :mod:`repro.check.fastpath` diffs key by key against an event run.
 
-Capture ordering matters: ``component_snapshot`` must run after
-``system.run()`` but *before* any verification that reads memory back
-(``read_rows`` / ``mem_read`` drain dirty lines, which mutates DBI and
-controller counters).
+Capture ordering matters: on an event system ``component_snapshot``
+must run after ``system.run()`` but *before* any verification that
+reads memory back (``read_rows`` / ``mem_read`` drain dirty lines,
+which mutates DBI and controller counters).
 """
 
 from __future__ import annotations
@@ -35,12 +36,18 @@ class AttrBag:
         self.__dict__.update(attrs)
 
 
+def set_counts(stats: StatGroup, counts: dict | None) -> None:
+    """Replace the counters of ``stats`` by the non-zero entries of ``counts``."""
+    stats.counters.clear()
+    stats.counters.update(
+        {key: value for key, value in (counts or {}).items() if value}
+    )
+
+
 def stat_group(name: str, counts: dict | None) -> StatGroup:
     """A :class:`StatGroup` holding the non-zero entries of ``counts``."""
     stats = StatGroup(name)
-    for key, value in (counts or {}).items():
-        if value:
-            stats.add(key, value)
+    set_counts(stats, counts)
     return stats
 
 
@@ -54,11 +61,13 @@ def machine_shim(
     dbi_counts: dict | None = None,
     controller_counts: dict | None = None,
 ) -> AttrBag:
-    """A registry-attachable stand-in for the machine a fast run skips.
+    """A single-core, untimed stand-in for the machine a fast run skips.
 
-    Exposes the component shape ``ObsSession.attach`` walks with the
-    counts the fast path derived, under the same stat names the real
-    components use, so fast and event snapshots stay comparable.
+    Exposes the component shape ``collect_result`` and
+    ``ObsSession.attach`` walk, with the counts the fast path derived
+    under the same stat names the real components use, so fast and
+    event results and snapshots stay comparable. The shim marks itself
+    ``fast``; its engine clock and finish time stay at zero.
     """
     hierarchy = AttrBag(
         l1s=[AttrBag(stats=stat_group("l1.core0", l1_counts))],
@@ -77,13 +86,14 @@ def machine_shim(
             queue_delay=Histogram(bucket_width=50),
             tracer=None,
         ),
-        engine=AttrBag(tracer=None, events_processed=0),
+        engine=AttrBag(tracer=None, events_processed=0, now=0),
         config=config,
+        fast=True,
     )
 
 
 def component_snapshot(system) -> dict | None:
-    """Per-component stat dicts of a single-core, single-channel system.
+    """Per-component stat dicts of a single-core, single-channel machine.
 
     Returns ``None`` for machines the equivalence battery does not
     cover (multiple cores or channels), so callers can store the

@@ -32,16 +32,15 @@ def _generator():
 GEN = _generator()
 
 
-@pytest.mark.parametrize("figure", GEN.EVENT_FIGURES)
+@pytest.mark.parametrize("figure", GEN.FIGURES)
 def test_event_mode_records_match_golden(figure):
-    path = RESULTS / f"eventmode_{figure}.json"
-    golden = json.loads(path.read_text())
-    specs = GEN.event_specs(figure)
+    golden = json.loads(GEN.golden_path(figure, "event").read_text())
+    specs = GEN.golden_specs(figure, "event")
     assert [record["spec"] for record in golden["records"]] == [
         GEN.spec_label(spec) for spec in specs
     ]
     for spec, expected in zip(specs, golden["records"]):
-        fresh = GEN.event_record(spec)
+        fresh = GEN.golden_record(spec)
         assert fresh == expected, {
             key: (expected.get(key), fresh.get(key))
             for key in sorted(set(expected) | set(fresh))

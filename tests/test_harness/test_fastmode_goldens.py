@@ -1,44 +1,62 @@
-"""Golden regression tests for the fast-mode figure results.
+"""Exact golden regression tests for the fast-mode figure results.
 
-``benchmarks/results/fastmode_<figure>.json`` pins one representative
-fast-mode run per figure (the first RunSpec of each figure's fast spec
-set at quick scale) next to the event-mode goldens. Unlike the
-event-mode timing goldens, the fast path has no timing at all, so the
-comparison is exact: every functional count must match byte-for-byte.
-Regenerate with ``python tools/gen_fastmode_goldens.py`` when an
-intentional accounting change lands — and expect the equivalence
-battery (``repro check``) to demand the event machine move with it.
+``benchmarks/results/fastmode_<figure>.json`` pins every quick fast spec
+of each figure's spec set, plus the fast fig7 patternscan point with its
+row profile, next to the event-mode goldens. Each record holds the full
+``RunResult.to_dict()`` and the per-component stat dicts. The fast path
+has no timing at all, so the comparison is exact: every functional
+count must match byte-for-byte. Regenerate with
+``python tools/gen_fastmode_goldens.py fast`` when an intentional
+accounting change lands — and expect the equivalence battery
+(``repro check``) to demand the event machine move with it.
 """
 
+import importlib.util
 import json
 import pathlib
 
 import pytest
 
-from repro.harness.common import QUICK
-from repro.harness.specsets import SPEC_FIGURES, figure_specs
-from repro.perf.specs import execute_spec
-
-RESULTS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
-def _golden(figure: str) -> dict:
-    path = RESULTS / f"fastmode_{figure}.json"
-    if not path.exists():
-        pytest.skip(f"golden file {path.name} not committed")
-    return json.loads(path.read_text())
+def _generator():
+    path = ROOT / "tools" / "gen_fastmode_goldens.py"
+    spec = importlib.util.spec_from_file_location("gen_fastmode_goldens", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-@pytest.mark.parametrize("figure", SPEC_FIGURES)
+GEN = _generator()
+
+
+@pytest.mark.parametrize("figure", GEN.FIGURES)
 def test_fast_mode_result_matches_golden(figure):
-    golden = _golden(figure)
-    spec = figure_specs(figure, QUICK, mode="fast")[0]
-    record = execute_spec(spec)
-    assert record.verified == golden["verified"]
-    assert getattr(record, "answer", None) == golden["answer"]
-    fresh = record.result.to_dict()
-    assert fresh == golden["result"], {
-        key: (golden["result"].get(key), fresh.get(key))
-        for key in sorted(set(golden["result"]) | set(fresh))
-        if golden["result"].get(key) != fresh.get(key)
-    }
+    golden = json.loads(GEN.golden_path(figure, "fast").read_text())
+    specs = GEN.golden_specs(figure, "fast")
+    assert [record["spec"] for record in golden["records"]] == [
+        GEN.spec_label(spec) for spec in specs
+    ]
+    for spec, expected in zip(specs, golden["records"]):
+        fresh = GEN.golden_record(spec)
+        assert fresh == expected, {
+            key: (expected.get(key), fresh.get(key))
+            for key in sorted(set(expected) | set(fresh))
+            if expected.get(key) != fresh.get(key)
+        }
+
+
+def test_every_quick_fast_spec_is_pinned():
+    pinned = sum(
+        len(json.loads(GEN.golden_path(figure, "fast").read_text())["records"])
+        for figure in GEN.SPEC_FIGURES
+    )
+    assert pinned == 21
+
+
+def test_fig7_point_pins_the_replayed_row_profile():
+    golden = json.loads(GEN.golden_path("fig7", "fast").read_text())
+    [record] = golden["records"]
+    assert record["result"]["extra"]["fast_path"] == 1.0
+    assert record["row_profile"]["activates"] > 0

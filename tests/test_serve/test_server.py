@@ -348,6 +348,12 @@ class TestRecovery:
             while client.status(job_id)["state"] != "running":
                 assert time.monotonic() < deadline, "job never started"
                 time.sleep(0.01)
+            # "running" is marked before the worker picks the job up;
+            # kill only once the work is inside the gate, so it cannot
+            # be cancelled before it ever executes.
+            while not calls:
+                assert time.monotonic() < deadline, "job never executed"
+                time.sleep(0.01)
         finally:
             first.kill()
         # A crash leaves the journal's open entries in place.

@@ -18,6 +18,7 @@ from repro.dram.address import Geometry
 from repro.sim.config import plain_dram_config, table1_config
 from repro.sim.system import System
 from repro.vec.hier import DirtyReplay
+from repro.vec.shim import component_snapshot
 
 #: 2 banks x 8 rows x 16 columns of 64-byte lines.
 GEOMETRY = Geometry(chips=8, banks=2, rows_per_bank=8, columns_per_row=16)
@@ -117,8 +118,9 @@ def test_pattern0_store_then_gather_of_the_same_row():
     (an L1 invalidation written back as a row-hit WRITE), then reads.
     """
     config = table1_config(geometry=GEOMETRY)
-    machine = DirtyReplay(config)
-    machine.run([0, 0], [0, 7], [7, 7], [True, False])
+    replay = DirtyReplay(config)
+    replay.run([0, 0], [0, 7], [7, 7], [True, False])
+    replay.publish()
     expected = {
         "controller": {
             "requests": 3, "requests_read": 2, "requests_write": 1,
@@ -133,19 +135,12 @@ def test_pattern0_store_then_gather_of_the_same_row():
         },
         "dbi": {"marks": 1, "cleans": 1, "overlap_queries": 2},
     }
-    assert machine.component_stats() == expected
+    assert component_snapshot(replay.machine) == expected
 
     # The event machine agrees on the same program.
     system = System(config)
     base = system.pattmalloc(GEOMETRY.row_bytes, shuffle=True, pattern=7)
     system.run([[Store(base, bytes(8), pattern=0), Load(base, pattern=7)]])
-    hierarchy = system.hierarchy
-    event = {
-        "controller": system.controller.stats.as_dict(),
-        "l1": hierarchy.l1s[0].stats.as_dict(),
-        "l2": hierarchy.l2.stats.as_dict(),
-        "hierarchy": hierarchy.stats.as_dict(),
-        "dbi": hierarchy.dbi.stats.as_dict(),
-    }
+    event = component_snapshot(system)
     for component, stats in expected.items():
         assert {k: v for k, v in event[component].items() if v} == stats

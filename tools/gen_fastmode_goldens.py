@@ -2,16 +2,14 @@
 
 Usage: PYTHONPATH=src python tools/gen_fastmode_goldens.py [fast|event]
 
-``fast`` (the default) writes ``benchmarks/results/fastmode_<figure>.json``:
-the first RunSpec of each figure's fast spec set at the quick scale,
-executed on the vectorized engine, pinned as a flat result dict.
-
-``event`` writes ``benchmarks/results/eventmode_<figure>.json``: every
-RunSpec of each figure's quick event spec set on the timed machine, plus
-one fig7 patternscan point (``eventmode_fig7.json``) whose row profile
-comes from the controller's command trace. Each record holds the full
-``RunResult.to_dict()`` and the per-component stat dicts, so a change
-to any cycle or counter of the event machine shows up.
+The mode (``fast`` by default) writes
+``benchmarks/results/<mode>mode_<figure>.json``: every RunSpec of each
+figure's quick spec set run in that mode (the vectorized engines or the
+timed machine), plus one fig7 patternscan point (``<mode>mode_fig7.json``)
+with its row profile, which event mode builds from the controller's
+command log and fast mode from the replayed DRAM read stream. Each
+record holds the full ``RunResult.to_dict()`` and the per-component stat
+dicts, so a change to any cycle or counter shows up.
 
 Both paths are fully deterministic, so these are byte-stable; regenerate
 only when an intentional accounting change lands.
@@ -32,35 +30,27 @@ from repro.perf.specs import RunSpec, execute_spec
 
 RESULTS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
+MODES = ("fast", "event")
+
 #: The pinned fig7 point: the gathered stride-8 scan, small enough to
 #: keep the golden test fast.
 FIG7_LINES = 256
 
-
-def golden_record(figure: str) -> dict:
-    spec = figure_specs(figure, QUICK, mode="fast")[0]
-    record = execute_spec(spec)
-    return {
-        "figure": figure,
-        "scale": QUICK.name,
-        "spec": spec_label(spec),
-        "verified": bool(record.verified),
-        "answer": getattr(record, "answer", None),
-        "result": record.result.to_dict(),
-    }
+FIGURES = (*SPEC_FIGURES, "fig7")
 
 
-def event_specs(figure: str) -> list[RunSpec]:
-    """The event-mode specs pinned in ``eventmode_<figure>.json``."""
+def golden_specs(figure: str, mode: str) -> list[RunSpec]:
+    """The specs pinned in ``<mode>mode_<figure>.json``."""
     if figure == "fig7":
-        return [spec for spec in pattern_sweep_specs(lines=FIG7_LINES)
+        return [spec
+                for spec in pattern_sweep_specs(lines=FIG7_LINES, mode=mode)
                 if spec.params["variant"] == "gathered"
                 and spec.params["stride"] == 8]
-    return figure_specs(figure, QUICK, mode="event")
+    return figure_specs(figure, QUICK, mode=mode)
 
 
-def event_record(spec: RunSpec) -> dict:
-    """Everything one event run reports, as plain JSON."""
+def golden_record(spec: RunSpec) -> dict:
+    """Everything one run reports, as plain JSON."""
     record = execute_spec(spec)
     entry = {
         "spec": spec_label(spec),
@@ -75,28 +65,25 @@ def event_record(spec: RunSpec) -> dict:
     return json.loads(json.dumps(entry, sort_keys=True))
 
 
-def event_golden(figure: str) -> dict:
+def golden(figure: str, mode: str) -> dict:
     return {
         "figure": figure,
         "scale": QUICK.name,
-        "records": [event_record(spec) for spec in event_specs(figure)],
+        "records": [golden_record(spec) for spec in golden_specs(figure, mode)],
     }
 
 
-EVENT_FIGURES = (*SPEC_FIGURES, "fig7")
+def golden_path(figure: str, mode: str) -> pathlib.Path:
+    return RESULTS / f"{mode}mode_{figure}.json"
 
 
 def main(argv: list[str]) -> None:
     mode = argv[0] if argv else "fast"
-    if mode not in ("fast", "event"):
+    if mode not in MODES:
         raise SystemExit(f"unknown mode {mode!r}; expected 'fast' or 'event'")
-    figures = SPEC_FIGURES if mode == "fast" else EVENT_FIGURES
-    for figure in figures:
-        if mode == "fast":
-            payload = golden_record(figure)
-        else:
-            payload = event_golden(figure)
-        path = RESULTS / f"{mode}mode_{figure}.json"
+    for figure in FIGURES:
+        path = golden_path(figure, mode)
+        payload = golden(figure, mode)
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}")
 
